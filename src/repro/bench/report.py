@@ -57,7 +57,7 @@ def format_histogram(
 
 
 #: column order for tail-latency tables (matches
-#: :meth:`~repro.bench.workload.LatencyRecorder.summary` keys)
+#: :meth:`~repro.obs.LatencyRecorder.summary` keys)
 PERCENTILE_COLUMNS: tuple[str, ...] = ("p50", "p95", "p99", "max")
 
 
@@ -70,7 +70,7 @@ def format_percentile_table(
     """Render one tail-latency table: a row per scheme, the
     :data:`PERCENTILE_COLUMNS` as columns. Rows are ``(label,
     summary)`` where ``summary`` is a
-    :meth:`~repro.bench.workload.LatencyRecorder.summary` block."""
+    :meth:`~repro.obs.LatencyRecorder.summary` block."""
     return format_table(
         title, list(PERCENTILE_COLUMNS), rows, unit=unit, precision=0
     )

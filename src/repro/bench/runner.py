@@ -28,7 +28,6 @@ from repro.bench.workload import (
     GROWTH_MIX,
     OP_KINDS,
     PRESETS,
-    LatencyRecorder,
     OpMix,
     generate_ops,
 )
@@ -42,7 +41,7 @@ from repro.nvm import (
     SimConfig,
 )
 from repro.nvm.wear import export_wear_metrics
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import LatencyRecorder, MetricsRegistry, Tracer
 from repro.tables.cell import CellCodec
 
 
@@ -534,7 +533,7 @@ class MixedResult:
     distributions.
 
     ``total`` and ``per_kind`` are
-    :meth:`~repro.bench.workload.LatencyRecorder.summary` blocks
+    :meth:`~repro.obs.LatencyRecorder.summary` blocks
     (count/sum/mean/p50/p95/p99/max, exact while the op count fits the
     reservoir); ``histogram`` is the overall log2-bucket export.
     ``extras['op_sim_ns']`` (the Σ of per-op deltas) reconciles with
@@ -600,7 +599,7 @@ def run_mixed_workload(spec: MixedSpec) -> MixedResult:
     (:func:`~repro.bench.workload.generate_ops`), then execute it while
     metering **every op individually**: the per-op cost is the
     ``MemStats.sim_time_ns`` delta across the op, fed to an overall and
-    a per-kind :class:`~repro.bench.workload.LatencyRecorder`. The
+    a per-kind :class:`~repro.obs.LatencyRecorder`. The
     driver self-verifies against a shadow model — queries must return
     the value the stream last wrote, deletes must hit exactly the live
     keys — so a scheme that corrupts state under interleaving fails the

@@ -1,11 +1,11 @@
-"""Mixed-workload model: YCSB-style op mixes with tail-latency recording.
+"""Mixed-workload model: YCSB-style op mixes and deterministic op streams.
 
 The paper's protocol (Section 4.2) measures pure phases — fill, then
 1000 inserts, then 1000 queries, then 1000 deletes — and reports only
 averages. Production traffic is neither pure nor average-shaped: ops of
 different kinds interleave, keys are skewed, and what matters is the
-tail. This module supplies the three ingredients the mixed-workload
-experiment needs:
+tail. This module supplies the op-stream half of the mixed-workload
+experiment (per-op latencies land in :class:`~repro.obs.LatencyRecorder`):
 
 - :class:`OpMix` — a frozen ratio model over the four table operations
   (insert / query / update / delete) plus a key-selection distribution
@@ -14,40 +14,24 @@ experiment needs:
 - :func:`generate_ops` — a deterministic, seed-driven interleaved op
   stream. The generator maintains a model of the live key set (inserts
   append, deletes remove), so every query/update/delete targets a key
-  that is actually resident at that point in the stream;
-- :class:`LatencyRecorder` — a per-op simulated-latency sink combining
-  the observability layer's log2-bucket
-  :class:`~repro.obs.Histogram` (mergeable, bounded) with an exact
-  sample list for small runs, so p50/p95/p99/max are *exact* whenever
-  the op count fits the reservoir (every standard scale does) and
-  power-of-two bounds otherwise.
+  that is actually resident at that point in the stream.
 
 Everything here is pure Python over plain data — no region access, no
-wall-clock — so op streams and percentiles are byte-identical across
-processes, worker counts and ``PYTHONHASHSEED`` values.
+wall-clock — so op streams are byte-identical across processes, worker
+counts and ``PYTHONHASHSEED`` values.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 import random
 from dataclasses import dataclass
-
-from repro.obs import Histogram
 
 #: the four table operations a mix can ratio over, in stream order
 OP_KINDS: tuple[str, ...] = ("insert", "query", "update", "delete")
 
 #: key-selection distributions over the resident key list
 KEY_DISTS: tuple[str, ...] = ("uniform", "zipfian", "latest")
-
-#: percentiles every latency summary reports
-PERCENTILES: tuple[tuple[str, float], ...] = (
-    ("p50", 0.50),
-    ("p95", 0.95),
-    ("p99", 0.99),
-)
 
 
 @dataclass(frozen=True)
@@ -232,67 +216,3 @@ def generate_ops(
         if kind == "delete":
             live.pop(index)
     return ops
-
-
-class LatencyRecorder:
-    """Per-op simulated-latency sink: log2 histogram + exact reservoir.
-
-    Every observation lands in a mergeable log2-bucket
-    :class:`~repro.obs.Histogram`; additionally, up to ``exact_cap``
-    raw values are kept so small runs (every standard scale) report
-    *exact* percentiles. Past the cap the raw list is dropped —
-    deterministically, never sampled — and percentiles fall back to the
-    histogram's power-of-two bucket bounds."""
-
-    def __init__(self, exact_cap: int = 1 << 14) -> None:
-        self.hist = Histogram()
-        self.exact_cap = exact_cap
-        self._samples: list[float] | None = []
-        #: (simulated ns, op index) of the worst observation
-        self.worst: tuple[float, int] = (0.0, -1)
-
-    @property
-    def count(self) -> int:
-        """Number of observations."""
-        return self.hist.count
-
-    @property
-    def exact(self) -> bool:
-        """Whether percentiles are exact (reservoir still intact)."""
-        return self._samples is not None
-
-    def record(self, ns: float, index: int) -> None:
-        """Add one per-op observation (``index`` = stream position)."""
-        self.hist.record(ns)
-        if self._samples is not None:
-            self._samples.append(ns)
-            if len(self._samples) > self.exact_cap:
-                self._samples = None
-        if ns > self.worst[0] or self.worst[1] < 0:
-            self.worst = (ns, index)
-
-    def percentile(self, q: float) -> float:
-        """The ``q``-quantile observation — exact while the reservoir
-        holds, else the histogram's bucket upper bound."""
-        if self._samples is None:
-            return self.hist.quantile(q)
-        if not self._samples:
-            return 0.0
-        ordered = sorted(self._samples)
-        index = max(0, math.ceil(q * len(ordered)) - 1)
-        return ordered[min(index, len(ordered) - 1)]
-
-    def summary(self) -> dict:
-        """JSON-ready percentile block: count, sum, mean, p50/p95/p99,
-        max, worst-op stream index, exactness flag."""
-        out: dict = {
-            "count": self.hist.count,
-            "sum": self.hist.total,
-            "mean": self.hist.mean,
-        }
-        for name, q in PERCENTILES:
-            out[name] = self.percentile(q)
-        out["max"] = self.hist.max or 0.0
-        out["worst_op_index"] = self.worst[1]
-        out["exact"] = self.exact
-        return out

@@ -39,9 +39,9 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 
-from repro.bench.workload import LatencyRecorder
 from repro.concurrency.locks import VersionedLockTable, fingerprint_of
 from repro.nvm.memory import NVMRegion
+from repro.obs import LatencyRecorder
 
 #: simulated ns one failed lock acquisition spin costs (a cacheline ping)
 SPIN_NS = 60.0

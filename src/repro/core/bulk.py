@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.core.group_hash import GroupHashTable
-from repro.tables.cell import OCCUPIED_BIT
 
 
 def bulk_load(
@@ -45,15 +44,10 @@ def bulk_load(
 
     # ---- plan placements in memory -----------------------------------
     # current occupancy, read once (cost-free peeks: planning is CPU
-    # work, not memory traffic). One range peek per level array — not
-    # one peek per cell — decoded in memory; the peek count is pinned
-    # by tests/test_bulk_load.py.
-    cell_size = codec.cell_size
-    n_level = layout.n_cells_level
-    raw1 = region.peek_volatile(layout.tab1_addr(codec, 0), cell_size * n_level)
-    raw2 = region.peek_volatile(layout.tab2_addr(codec, 0), cell_size * n_level)
-    level1_used = [bool(raw1[i * cell_size] & OCCUPIED_BIT) for i in range(n_level)]
-    level2_used = [bool(raw2[i * cell_size] & OCCUPIED_BIT) for i in range(n_level)]
+    # work, not memory traffic) through the table's bounded range-peek
+    # windows — never one peek per cell (pinned by tests/test_bulk_load.py)
+    level1_used = list(table._occupied_flags(layout.tab1_base))
+    level2_used = list(table._occupied_flags(layout.tab2_base))
 
     placements: list[tuple[int, bytes, bytes]] = []  # (cell addr, key, value)
     rejected: list[tuple[bytes, bytes]] = []

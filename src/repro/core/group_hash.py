@@ -30,6 +30,7 @@ but breaks probe contiguity); the default of 1 is the paper's design.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterator
 
 from repro.core.layout import GroupLayout
@@ -39,6 +40,18 @@ from repro.nvm.memory import CACHELINE
 from repro.tables.base import PersistentHashTable
 from repro.tables.cell import HEADER_SIZE, OCCUPIED_BIT, ItemSpec
 from repro.tables.wal import UndoLog
+
+#: cells per cost-free peek in whole-table inventories (``items``,
+#: ``integrity_violations``, occupancy diagnostics): large enough that
+#: the per-call cost vanishes, small enough that no level-sized buffer
+#: lands on the heap
+PEEK_WINDOW_CELLS = 4096
+
+#: ``bytes.translate`` tables from a header's low byte to a 0/1 flag:
+#: a strided slice of headers becomes summable (``sum``) and selectable
+#: (``itertools.compress``) occupancy flags without a per-cell loop
+_OCCUPIED_FLAG = bytes(1 if b & OCCUPIED_BIT else 0 for b in range(256))
+_FREE_FLAG = bytes(1 - flag for flag in _OCCUPIED_FLAG)
 
 
 class GroupHashTable(PersistentHashTable):
@@ -99,11 +112,34 @@ class GroupHashTable(PersistentHashTable):
         return 2 * (self.n_cells // 2)
 
     def _iter_cell_addrs(self) -> Iterator[int]:
-        codec, layout = self.codec, self.layout
-        for i in range(layout.n_cells_level):
-            yield layout.tab1_addr(codec, i)
-        for i in range(layout.n_cells_level):
-            yield layout.tab2_addr(codec, i)
+        cell_size = self.codec.cell_size
+        span = self.layout.n_cells_level * cell_size
+        for base in (self.layout.tab1_base, self.layout.tab2_base):
+            yield from range(base, base + span, cell_size)
+
+    def _peek_windows(self, peek, *bases: int) -> Iterator[tuple[int, bytes]]:
+        """``(addr, raw)`` windows covering the level arrays at ``bases``
+        (default: level 1 then level 2) in address order. Each window is
+        one cost-free ``peek`` call (``region.peek_volatile`` or
+        ``region.peek_persistent``) of at most :data:`PEEK_WINDOW_CELLS`
+        cells, so inventories decode cells in memory without ever
+        holding a level-sized buffer."""
+        cell_size = self.codec.cell_size
+        n_level = self.layout.n_cells_level
+        for base in bases or (self.layout.tab1_base, self.layout.tab2_base):
+            for first in range(0, n_level, PEEK_WINDOW_CELLS):
+                n = min(PEEK_WINDOW_CELLS, n_level - first)
+                addr = base + first * cell_size
+                yield addr, peek(addr, n * cell_size)
+
+    def _occupied_flags(self, level_base: int) -> bytes:
+        """One byte per cell of one level, 1 where the bitmap bit is set,
+        read cost-free from the volatile view (what loads would return)."""
+        cell_size = self.codec.cell_size
+        return b"".join(
+            raw[::cell_size].translate(_OCCUPIED_FLAG)
+            for _, raw in self._peek_windows(self.region.peek_volatile, level_base)
+        )
 
     @property
     def n_lock_stripes(self) -> int:
@@ -243,6 +279,19 @@ class GroupHashTable(PersistentHashTable):
             if raw[0] & OCCUPIED_BIT:
                 kv = raw[HEADER_SIZE:]
                 yield kv[: spec.key_size], kv[spec.key_size :]
+
+    def items(self) -> Iterator[tuple[bytes, bytes]]:
+        """Yield all stored ``(key, value)`` pairs in cell-address order.
+        Free of simulation cost: each level is read in a few bounded
+        peek windows and decoded in memory."""
+        cell_size = self.codec.cell_size
+        key_end = HEADER_SIZE + self.spec.key_size
+        item_end = HEADER_SIZE + self.spec.item_size
+        for _, raw in self._peek_windows(self.region.peek_volatile):
+            flags = raw[::cell_size].translate(_OCCUPIED_FLAG)
+            for off in compress(range(0, len(raw), cell_size), flags):
+                key = raw[off + HEADER_SIZE : off + key_end]
+                yield key, raw[off + key_end : off + item_end]
 
     # ------------------------------------------------------------------
     # Algorithm 3
@@ -553,32 +602,28 @@ class GroupHashTable(PersistentHashTable):
         persistent image (a non-zero one is a torn write recovery should
         have reset)."""
         problems = super().integrity_violations()
-        spec = self.spec
-        zero_kv = bytes(spec.item_size)
-        region = self.region
-        for addr in self._iter_cell_addrs():
-            raw = region.peek_persistent(addr, HEADER_SIZE + spec.item_size)
-            if not raw[0] & OCCUPIED_BIT and raw[HEADER_SIZE:] != zero_kv:
-                problems.append(
-                    f"unoccupied cell at {addr} holds non-zero key-value bytes"
-                )
+        cell_size = self.codec.cell_size
+        item_end = HEADER_SIZE + self.spec.item_size
+        zero_kv = bytes(self.spec.item_size)
+        for addr, raw in self._peek_windows(self.region.peek_persistent):
+            free = raw[::cell_size].translate(_FREE_FLAG)
+            for off in compress(range(0, len(raw), cell_size), free):
+                if raw[off + HEADER_SIZE : off + item_end] != zero_kv:
+                    problems.append(
+                        f"unoccupied cell at {addr + off} holds non-zero "
+                        "key-value bytes"
+                    )
         return problems
 
     def level_occupancy(self) -> tuple[int, int]:
         """(level-1 occupied, level-2 occupied) — used by the group-size
-        analysis and the examples."""
-        codec, region, layout = self.codec, self.region, self.layout
-        l1 = sum(
-            1
-            for i in range(layout.n_cells_level)
-            if codec.is_occupied(region, layout.tab1_addr(codec, i))
+        analysis and the examples. Cost-free peeks, like every
+        diagnostic here: no simulated time, cache traffic or stats."""
+        layout = self.layout
+        return (
+            sum(self._occupied_flags(layout.tab1_base)),
+            sum(self._occupied_flags(layout.tab2_base)),
         )
-        l2 = sum(
-            1
-            for i in range(layout.n_cells_level)
-            if codec.is_occupied(region, layout.tab2_addr(codec, i))
-        )
-        return l1, l2
 
     def observe_occupancy(self, metrics) -> None:
         """Record the current occupancy picture into ``metrics`` without
@@ -586,33 +631,23 @@ class GroupHashTable(PersistentHashTable):
         ``group.l2_occupied``) and a per-group level-2 fill heat map
         (``group.occupancy_heat``). Reads use the cost-free peek API so
         this can run mid-benchmark."""
-        codec, region, layout = self.codec, self.region, self.layout
-        l1 = 0
-        for i in range(layout.n_cells_level):
-            raw = region.peek_volatile(layout.tab1_addr(codec, i), 1)
-            if raw[0] & OCCUPIED_BIT:
-                l1 += 1
+        layout, group_size = self.layout, self.group_size
+        l1 = sum(self._occupied_flags(layout.tab1_base))
+        l2_flags = self._occupied_flags(layout.tab2_base)
         heat = metrics.heat("group.occupancy_heat")
-        group_size = self.group_size
-        l2 = 0
-        for g in range(layout.n_cells_level // group_size):
-            fill = 0
-            for i in range(g * group_size, (g + 1) * group_size):
-                raw = region.peek_volatile(layout.tab2_addr(codec, i), 1)
-                if raw[0] & OCCUPIED_BIT:
-                    fill += 1
+        for g in range(0, layout.n_cells_level, group_size):
+            fill = sum(l2_flags[g : g + group_size])
             if fill:
-                heat.touch(g, fill)
-            l2 += fill
+                heat.touch(g // group_size, fill)
         metrics.gauge("group.l1_occupied").set(l1)
-        metrics.gauge("group.l2_occupied").set(l2)
+        metrics.gauge("group.l2_occupied").set(sum(l2_flags))
 
     def group_fill(self, group: int) -> int:
-        """Occupied cells in level-2 group ``group`` (diagnostic)."""
-        codec, region, layout = self.codec, self.region, self.layout
-        start = group * self.group_size
-        return sum(
-            1
-            for i in range(start, start + self.group_size)
-            if codec.is_occupied(region, layout.tab2_addr(codec, i))
+        """Occupied cells in level-2 group ``group`` (diagnostic; one
+        cost-free peek of the group's cells)."""
+        cell_size = self.codec.cell_size
+        raw = self.region.peek_volatile(
+            self.layout.tab2_addr(self.codec, group * self.group_size),
+            self.group_size * cell_size,
         )
+        return sum(raw[::cell_size].translate(_OCCUPIED_FLAG))

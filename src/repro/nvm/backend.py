@@ -48,6 +48,7 @@ from repro.nvm.memory import (
     NVMRegion,
     SimulatedPowerFailure,
     _U64,
+    image_diff,
 )
 from repro.nvm.stats import MemStats
 
@@ -1027,38 +1028,9 @@ class RawBackend:
         return bytes(self._volatile[addr : addr + size])
 
     def unpersisted_ranges(self) -> list[tuple[int, int]]:
-        """``(addr, size)`` extents where the two images differ.
-
-        Only dirty lines can differ, so the scan is bounded by the dirty
-        set rather than the region size."""
-        diffs: list[tuple[int, int]] = []
-        run_start: int | None = None
-        line_size = self.line_size
-        prev_line = None
-        for line in sorted(self._dirty):
-            contiguous = prev_line is not None and line == prev_line + 1
-            if not contiguous and prev_line is not None and run_start is not None:
-                # a gap between dirty lines always ends a run
-                end = (prev_line + 1) * line_size
-                diffs.append((run_start, end - run_start))
-                run_start = None
-            start = line * line_size
-            end = min(start + line_size, self.size)
-            for off in range(start, end, ATOMIC_UNIT):
-                same = (
-                    self._volatile[off : off + ATOMIC_UNIT]
-                    == self._persistent[off : off + ATOMIC_UNIT]
-                )
-                if same and run_start is not None:
-                    diffs.append((run_start, off - run_start))
-                    run_start = None
-                elif not same and run_start is None:
-                    run_start = off
-            prev_line = line
-        if run_start is not None:
-            end = min((prev_line + 1) * line_size, self.size)
-            diffs.append((run_start, end - run_start))
-        return diffs
+        """``(addr, size)`` extents where the two images differ (the
+        same exact image diff as :class:`NVMRegion`)."""
+        return image_diff(self._volatile, self._persistent)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -36,6 +36,39 @@ ATOMIC_UNIT = 8
 _U64 = struct.Struct("<Q")
 
 
+#: strides :func:`image_diff` refines through: 4 KiB chunks, cachelines,
+#: then the failure-atomic words a crash schedule rules on
+_DIFF_STRIDES = (4096, CACHELINE, ATOMIC_UNIT)
+
+
+def image_diff(volatile: bytearray, persistent: bytearray) -> list[tuple[int, int]]:
+    """Maximal ``(addr, size)`` runs of 8-byte words that differ between
+    two equal-length memory images (a trailing partial word counts as a
+    word). The diff is exact — it compares bytes, never cache state.
+
+    One whole-image compare settles the clean case; otherwise every 4 KiB
+    chunk is one slice compare, and only differing chunks are refined,
+    line by line and then word by word."""
+    if volatile == persistent:
+        return []
+    spans = [(0, len(volatile))]
+    for stride in _DIFF_STRIDES:
+        finer = []
+        for start, end in spans:
+            for off in range(start, end, stride):
+                stop = min(off + stride, end)
+                if volatile[off:stop] != persistent[off:stop]:
+                    finer.append((off, stop))
+        spans = finer
+    runs: list[tuple[int, int]] = []
+    for start, stop in spans:
+        if runs and runs[-1][1] == start:
+            runs[-1] = (runs[-1][0], stop)
+        else:
+            runs.append((start, stop))
+    return [(start, stop - start) for start, stop in runs]
+
+
 class SimulatedPowerFailure(RuntimeError):
     """Raised mid-operation when an armed crash point trips.
 
@@ -669,21 +702,7 @@ class NVMRegion:
         """Return ``(addr, size)`` extents where the volatile view and the
         persistent image differ — i.e. data that would be at risk in a
         crash right now. Useful for durability assertions in tests."""
-        diffs: list[tuple[int, int]] = []
-        run_start: int | None = None
-        for off in range(0, self.size, ATOMIC_UNIT):
-            same = (
-                self._volatile[off : off + ATOMIC_UNIT]
-                == self._persistent[off : off + ATOMIC_UNIT]
-            )
-            if same and run_start is not None:
-                diffs.append((run_start, off - run_start))
-                run_start = None
-            elif not same and run_start is None:
-                run_start = off
-        if run_start is not None:
-            diffs.append((run_start, self.size - run_start))
-        return diffs
+        return image_diff(self._volatile, self._persistent)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -36,6 +36,7 @@ from repro.obs.metrics import (
     Gauge,
     Heat,
     Histogram,
+    LatencyRecorder,
     MetricsRegistry,
     bucket_index,
     bucket_label,
@@ -60,6 +61,7 @@ __all__ = [
     "HealthCheck",
     "HealthReport",
     "Histogram",
+    "LatencyRecorder",
     "MetricsRegistry",
     "SloRule",
     "Tracer",

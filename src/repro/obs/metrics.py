@@ -15,6 +15,10 @@ Four instrument kinds cover everything the instrumented tables need:
 - :class:`Heat` — a sparse integer-keyed counter map with a ``top(k)``
   view, for "which level-2 group is hottest" style questions.
 
+:class:`LatencyRecorder` pairs a histogram with an exact sample list:
+the per-op simulated-latency sink behind every p50/p95/p99 the mixed,
+concurrency and serving drivers report.
+
 Every instrument (and the :class:`MetricsRegistry` holding them) is
 **dict-exportable** (:meth:`~MetricsRegistry.as_dict`), **rebuildable**
 (:meth:`~MetricsRegistry.from_dict`) and **mergeable**
@@ -29,6 +33,8 @@ the observability tests pin.
 """
 
 from __future__ import annotations
+
+import math
 
 #: number of log2 buckets a histogram keeps; bucket 63 absorbs every
 #: value ≥ 2^62, far beyond any probe length or simulated-ns delta
@@ -207,6 +213,78 @@ class Histogram:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Histogram(count={self.count}, mean={self.mean:.2f})"
+
+
+#: percentiles every latency summary reports
+PERCENTILES: tuple[tuple[str, float], ...] = (
+    ("p50", 0.50),
+    ("p95", 0.95),
+    ("p99", 0.99),
+)
+
+
+class LatencyRecorder:
+    """Per-op simulated-latency sink: log2 histogram + exact reservoir.
+
+    Every observation lands in a mergeable log2-bucket
+    :class:`Histogram`; additionally, up to ``exact_cap``
+    raw values are kept so small runs (every standard scale) report
+    *exact* percentiles. Past the cap the raw list is dropped —
+    deterministically, never sampled — and percentiles fall back to the
+    histogram's power-of-two bucket bounds."""
+
+    def __init__(self, exact_cap: int = 1 << 14) -> None:
+        self.hist = Histogram()
+        self.exact_cap = exact_cap
+        self._samples: list[float] | None = []
+        #: (simulated ns, op index) of the worst observation
+        self.worst: tuple[float, int] = (0.0, -1)
+
+    @property
+    def count(self) -> int:
+        """Number of observations."""
+        return self.hist.count
+
+    @property
+    def exact(self) -> bool:
+        """Whether percentiles are exact (reservoir still intact)."""
+        return self._samples is not None
+
+    def record(self, ns: float, index: int) -> None:
+        """Add one per-op observation (``index`` = stream position)."""
+        self.hist.record(ns)
+        if self._samples is not None:
+            self._samples.append(ns)
+            if len(self._samples) > self.exact_cap:
+                self._samples = None
+        if ns > self.worst[0] or self.worst[1] < 0:
+            self.worst = (ns, index)
+
+    def percentile(self, q: float) -> float:
+        """The ``q``-quantile observation — exact while the reservoir
+        holds, else the histogram's bucket upper bound."""
+        if self._samples is None:
+            return self.hist.quantile(q)
+        if not self._samples:
+            return 0.0
+        ordered = sorted(self._samples)
+        index = max(0, math.ceil(q * len(ordered)) - 1)
+        return ordered[min(index, len(ordered) - 1)]
+
+    def summary(self) -> dict:
+        """JSON-ready percentile block: count, sum, mean, p50/p95/p99,
+        max, worst-op stream index, exactness flag."""
+        out: dict = {
+            "count": self.hist.count,
+            "sum": self.hist.total,
+            "mean": self.hist.mean,
+        }
+        for name, q in PERCENTILES:
+            out[name] = self.percentile(q)
+        out["max"] = self.hist.max or 0.0
+        out["worst_op_index"] = self.worst[1]
+        out["exact"] = self.exact
+        return out
 
 
 class Heat:

@@ -34,8 +34,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from repro.bench.workload import LatencyRecorder
 from repro.concurrency.scheduler import ClientOp
+from repro.obs import LatencyRecorder
 from repro.serving.netmodel import NetworkModel
 from repro.serving.router import Request, Router, ServedReply
 

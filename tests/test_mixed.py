@@ -21,11 +21,11 @@ from repro.bench.runner import MixedResult, MixedSpec, run_mixed_workload
 from repro.bench.workload import (
     OP_KINDS,
     PRESETS,
-    LatencyRecorder,
     OpMix,
     ZipfianRanks,
     generate_ops,
 )
+from repro.obs import LatencyRecorder
 
 TINY = dict(total_cells=1 << 10, group_size=32, n_ops=120)
 
