@@ -11,7 +11,9 @@ per-metric tolerances:
 - **contention** — simulated throughput, p99 and abort counts. The
   scheduler is a pure function of the spec, so these are deterministic:
   a drift beyond tolerance means the code's behavior moved, and the PR
-  must either fix it or deliberately reseed the baseline;
+  must either fix it or deliberately reseed the baseline. The final
+  ``table_digest`` must match exactly — a lost update that keeps the
+  numbers flat still changes the table's bytes;
 - **timeline** — the derived transient scalars (during-split spike
   ratio, steady-window p99, abort rate) plus the **health report**: a
   fresh report whose overall status is ``fail`` fails the gate even if
@@ -22,7 +24,8 @@ per-metric tolerances:
   ``shadow_failures`` gate at zero tolerance (a stale location hint
   returning a wrong value is a correctness bug, not a perf drift), and
   ``one_sided_reads`` gates downward so the location-cache fast path
-  cannot silently stop firing.
+  cannot silently stop firing; ``table_digest`` gates exactly, as for
+  contention.
 
 A baseline cell missing from the fresh run fails the gate (a silently
 shrunken grid must not turn it green). Cells that only exist in the
@@ -49,7 +52,8 @@ class Metric:
     """One per-cell trajectory comparison.
 
     ``worse`` names the regression direction (``"down"``: lower is a
-    regression, e.g. throughput; ``"up"``: higher is, e.g. latency);
+    regression, e.g. throughput; ``"up"``: higher is, e.g. latency;
+    ``"exact"``: any difference is, e.g. a digest);
     ``tolerance`` is the relative drift allowed in that direction;
     non-``gating`` metrics warn instead of failing (wall-clock)."""
 
@@ -70,6 +74,7 @@ SECTION_METRICS: dict[str, tuple[Metric, ...]] = {
         Metric("throughput_kops", "down", 0.10),
         Metric("total.p99", "up", 0.25),
         Metric("read_aborts", "up", 0.50),
+        Metric("table_digest", "exact", 0.0),
     ),
     "timeline": (
         Metric("split_spike_ratio", "up", 0.50),
@@ -83,6 +88,7 @@ SECTION_METRICS: dict[str, tuple[Metric, ...]] = {
         Metric("wrong_answers", "up", 0.0),
         Metric("shadow_failures", "up", 0.0),
         Metric("one_sided_reads", "down", 0.25),
+        Metric("table_digest", "exact", 0.0),
     ),
 }
 
@@ -116,6 +122,16 @@ def compare_cells(
     for metric in metrics:
         was = dig(base_cell, metric.path)
         now = dig(fresh_cell, metric.path)
+        if metric.worse == "exact":
+            if was is None:
+                continue
+            compared += 1
+            line = f"{section}/{label} {metric.path}: {now} vs baseline {was} [exact]"
+            if now == was:
+                gate.ok(line)
+            else:
+                gate.fail(line)
+            continue
         if not isinstance(was, (int, float)) or not isinstance(now, (int, float)):
             continue
         compared += 1

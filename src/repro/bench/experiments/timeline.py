@@ -45,10 +45,11 @@ from repro.bench.runner import (
     GrowthSpec,
     _growth_fill,
     _growth_region,
+    _metered_ops,
     fill_to_load_factor,
 )
 from repro.bench.workload import GROWTH_MIX, generate_ops
-from repro.concurrency import run_concurrent
+from repro.concurrency import ShadowOracle, run_concurrent
 from repro.core import DirectoryTable
 from repro.nvm.wear import export_wear_metrics
 from repro.obs import (
@@ -234,32 +235,20 @@ def _run_growth_timeline(spec: TimelineSpec) -> dict:
     )
 
     ops = generate_ops(GROWTH_MIX, spec.n_ops, target, seed=spec.seed)
-    items: list[tuple[bytes, bytes]] = list(resident)
-    live_value: dict[int, bytes] = {
-        i: value for i, (_, value) in enumerate(resident)
-    }
+    oracle = ShadowOracle(resident)
     splits_before = table.splits
-    last_ns = stats.sim_time_ns
-    for op in ops:
-        while op.key_id >= len(items):
-            items.append(next(stream))
-        key = items[op.key_id][0]
-        tracer.push(op.kind)
-        if op.kind == "insert":
-            value = items[op.key_id][1]
-            if not table.insert(key, value):
-                raise RuntimeError("timeline growth insert failed")
-            live_value[op.key_id] = value
-        elif op.kind == "query":
-            found = table.query(key)
-            expected = live_value.get(op.key_id)
-            assert found == expected, "timeline growth query mismatch"
-        else:  # GROWTH_MIX is insert/query only
-            raise ValueError(f"unexpected op kind {op.kind!r} in growth mix")
-        tracer.pop()
-        now = stats.sim_time_ns
-        op_ns = now - last_ns
-        last_ns = now
+    for _, _, now, op_ns in _metered_ops(
+        table,
+        stats,
+        ops,
+        list(resident),
+        stream,
+        oracle,
+        label="timeline growth",
+        tracer=tracer,
+    ):
+        if oracle.failed_ops:
+            raise RuntimeError("timeline growth insert failed")
         series.observe("latency", now, op_ns)
         series.inc("ops", now)
         series.set_gauge("occupancy", now, table.load_factor)
@@ -341,21 +330,17 @@ def _run_contention_timeline(spec: TimelineSpec) -> dict:
     series = WindowSeries(spec.window_ns)
     recorder = FlightRecorder()
     metrics = MetricsRegistry()
-    # the scheduler owns the event hook (per-client attribution feeds the
-    # series through its timeline parameter); wear heat rides the wear
-    # map's own observer so lines are not double counted
+    # the scheduler observes the event stream (per-client attribution
+    # feeds the series through its timeline parameter); wear heat rides
+    # the wear map's own observers so lines are not double counted
     wear = getattr(built.region, "wear", None)
     stats = built.region.stats
-    prev_obs = wear.on_record if wear is not None else None
 
     def observe_wear(line: int) -> None:
-        """Chain the previous wear observer, then heat the series."""
-        if prev_obs is not None:
-            prev_obs(line)
         series.touch("wear_heat", stats.sim_time_ns, line)
 
     if wear is not None:
-        wear.on_record = observe_wear
+        wear.observe(observe_wear)
     try:
         result = run_concurrent(
             table,
@@ -367,7 +352,7 @@ def _run_contention_timeline(spec: TimelineSpec) -> dict:
         )
     finally:
         if wear is not None:
-            wear.on_record = prev_obs
+            wear.unobserve(observe_wear)
     wear_report = export_wear_metrics(built.region, metrics)
 
     coarse, factor = _rebucket(spec, series)

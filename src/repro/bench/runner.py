@@ -31,6 +31,7 @@ from repro.bench.workload import (
     OpMix,
     generate_ops,
 )
+from repro.concurrency.oracle import ShadowOracle
 from repro.core import DirectoryTable, GroupHashTable, GrowableTable
 from repro.nvm import (
     TECHNOLOGY_PRESETS,
@@ -431,7 +432,7 @@ def run_workload(spec: RunSpec) -> RunResult:
 
     # Observability opt-in. Instrumented *after* the fill so only the
     # measured phases are attributed; both sinks purely observe (stats
-    # snapshots + chained event hooks), so the simulated event stream and
+    # snapshots + backend observers), so the simulated event stream and
     # clock are identical with or without them.
     tracer: Tracer | None = None
     metrics: MetricsRegistry | None = None
@@ -592,6 +593,44 @@ class MixedResult:
         )
 
 
+def _metered_ops(
+    table, stats, ops, items, stream, oracle, *, label, tracer=None, new_value=None
+):
+    """Execute generated ``ops`` against ``table`` in program order and
+    yield ``(index, op, now_ns, op_ns)`` after each: the ``stats``
+    simulated clock and the op's own ``sim_time_ns`` delta.
+
+    ``items`` is the key universe by op id (fill items first, then fresh
+    stream items in the order inserts mint their ids; grown from
+    ``stream`` on demand) and ``new_value()`` draws update values. Every
+    op is checked against ``oracle`` in program order — a disagreement
+    raises ``AssertionError`` at once. ``tracer`` wraps each op in a
+    span named after its kind."""
+    last_ns = stats.sim_time_ns
+    for index, op in enumerate(ops):
+        while op.key_id >= len(items):
+            items.append(next(stream))
+        key, value = items[op.key_id]
+        if tracer is not None:
+            tracer.push(op.kind)
+        if op.kind == "insert":
+            oracle.apply("insert", key, value, table.insert(key, value))
+        elif op.kind == "query":
+            oracle.check_read(0, "query", key, table.query(key))
+        elif op.kind == "update":
+            value = new_value()
+            oracle.apply("update", key, value, table.update(key, value))
+        else:
+            oracle.apply("delete", key, None, table.delete(key))
+        if oracle.failures:
+            raise AssertionError(f"{label}: {oracle.failures[0]}")
+        if tracer is not None:
+            tracer.pop()
+        now = stats.sim_time_ns
+        yield index, op, now, now - last_ns
+        last_ns = now
+
+
 def run_mixed_workload(spec: MixedSpec) -> MixedResult:
     """Execute one mixed-workload cell.
 
@@ -600,10 +639,12 @@ def run_mixed_workload(spec: MixedSpec) -> MixedResult:
     metering **every op individually**: the per-op cost is the
     ``MemStats.sim_time_ns`` delta across the op, fed to an overall and
     a per-kind :class:`~repro.obs.LatencyRecorder`. The
-    driver self-verifies against a shadow model — queries must return
-    the value the stream last wrote, deletes must hit exactly the live
-    keys — so a scheme that corrupts state under interleaving fails the
-    cell rather than producing plausible numbers."""
+    driver self-verifies against a
+    :class:`~repro.concurrency.oracle.ShadowOracle` — queries must
+    return the value the stream last wrote, deletes must hit exactly the
+    live keys — and raises ``AssertionError`` on the first disagreement,
+    so a scheme that corrupts state under interleaving fails the cell
+    rather than producing plausible numbers."""
     mix = spec.resolved_mix()
     trace = make_trace(spec.trace, seed=spec.seed)
     built = build_table(
@@ -627,67 +668,29 @@ def run_mixed_workload(spec: MixedSpec) -> MixedResult:
         table.instrument(tracer, None)
 
     ops = generate_ops(mix, spec.n_ops, len(resident), seed=spec.seed)
-
-    # Key universe: fill items first (ids 0..fill-1, insertion order),
-    # then fresh stream items in the order the stream's inserts mint
-    # their ids. ``live_value`` is the shadow model of what each live
-    # key currently maps to.
-    items: list[tuple[bytes, bytes]] = list(resident)
-    live_value: dict[int, bytes] = {
-        i: value for i, (_, value) in enumerate(resident)
-    }
+    oracle = ShadowOracle(resident)
     value_size = table.spec.value_size
     vrng = random.Random((spec.seed << 8) ^ 0xA11CE)
 
     overall = LatencyRecorder()
     per_kind = {kind: LatencyRecorder() for kind in OP_KINDS}
     worst_kind = ""
-    failed_ops = 0
     stats = region.stats
     before = stats.snapshot()
-    last_ns = stats.sim_time_ns
     op_sim_ns = 0.0
-    for index, op in enumerate(ops):
-        while op.key_id >= len(items):
-            items.append(next(stream))
-        key = items[op.key_id][0]
-        if tracer is not None:
-            tracer.push(op.kind)
-        if op.kind == "insert":
-            value = items[op.key_id][1]
-            if table.insert(key, value):
-                live_value[op.key_id] = value
-            else:
-                failed_ops += 1
-        elif op.kind == "query":
-            found = table.query(key)
-            expected = live_value.get(op.key_id)
-            assert found == expected, f"{spec.scheme}: mixed query mismatch"
-        elif op.kind == "update":
-            new_value = vrng.getrandbits(8 * value_size).to_bytes(
-                value_size, "little"
-            )
-            updated = table.update(key, new_value)
-            if op.key_id in live_value:
-                assert updated, f"{spec.scheme}: mixed update lost a live key"
-                live_value[op.key_id] = new_value
-            else:
-                assert not updated, f"{spec.scheme}: updated a dead key"
-                failed_ops += 1
-        else:
-            deleted = table.delete(key)
-            assert deleted == (op.key_id in live_value), (
-                f"{spec.scheme}: mixed delete disagrees with the model"
-            )
-            if deleted:
-                live_value.pop(op.key_id)
-            else:
-                failed_ops += 1
-        if tracer is not None:
-            tracer.pop()
-        now = stats.sim_time_ns
-        op_ns = now - last_ns
-        last_ns = now
+    for index, op, _, op_ns in _metered_ops(
+        table,
+        stats,
+        ops,
+        list(resident),
+        stream,
+        oracle,
+        label=f"{spec.scheme}: mixed",
+        tracer=tracer,
+        new_value=lambda: vrng.getrandbits(8 * value_size).to_bytes(
+            value_size, "little"
+        ),
+    ):
         op_sim_ns += op_ns
         overall.record(op_ns, index)
         per_kind[op.kind].record(op_ns, index)
@@ -695,6 +698,7 @@ def run_mixed_workload(spec: MixedSpec) -> MixedResult:
             worst_kind = op.kind
     delta = stats.delta(before)
 
+    failed_ops = oracle.failed_ops
     succeeded = len(ops) - failed_ops
     result = MixedResult(
         spec=spec,
@@ -945,37 +949,20 @@ def _run_growth_stream(
     ``growth_count()`` (splits, or legacy expansions) advanced during
     it. Returns (overall, during-growth, steady) recorders plus the
     growth ops' ``{"index", "kind", "sim_ns"}`` records."""
-    items: list[tuple[bytes, bytes]] = list(resident)
-    live_value: dict[int, bytes] = {
-        i: value for i, (_, value) in enumerate(resident)
-    }
+    oracle = ShadowOracle(resident)
     overall = LatencyRecorder()
     during = LatencyRecorder()
     steady = LatencyRecorder()
     growth_ops: list[dict] = []
-    stats = region.stats
-    last_ns = stats.sim_time_ns
-    for index, op in enumerate(ops):
-        while op.key_id >= len(items):
-            items.append(next(stream))
-        key = items[op.key_id][0]
-        before_growth = growth_count()
-        if op.kind == "insert":
-            value = items[op.key_id][1]
-            if not table.insert(key, value):
-                raise RuntimeError("growth-stream insert failed")
-            live_value[op.key_id] = value
-        elif op.kind == "query":
-            found = table.query(key)
-            expected = live_value.get(op.key_id)
-            assert found == expected, "growth-stream query mismatch"
-        else:  # GROWTH_MIX is insert/query only
-            raise ValueError(f"unexpected op kind {op.kind!r} in growth mix")
-        now = stats.sim_time_ns
-        op_ns = now - last_ns
-        last_ns = now
+    grown = growth_count()
+    for index, op, _, op_ns in _metered_ops(
+        table, region.stats, ops, list(resident), stream, oracle, label="growth stream"
+    ):
+        if oracle.failed_ops:
+            raise RuntimeError("growth-stream insert failed")
         overall.record(op_ns, index)
-        if growth_count() > before_growth:
+        if growth_count() > grown:
+            grown = growth_count()
             during.record(op_ns, index)
             growth_ops.append({"index": index, "kind": op.kind, "sim_ns": op_ns})
         else:

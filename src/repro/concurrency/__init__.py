@@ -1,31 +1,30 @@
 """Deterministic multi-client concurrency over the simulated clock.
 
-The paper's consistency argument (and every driver up to PR 7) assumes
-one writer at a time; a serving system has N interleaved clients. This
-package adds that layer without giving up determinism:
+The paper's consistency argument assumes one writer at a time; a
+serving system has N interleaved clients. This package adds that layer
+without giving up determinism, as one simulation kernel:
 
+- :mod:`repro.concurrency.kernel` — the seeded :class:`Kernel` every
+  multi-client driver runs on: generator clients resumed smallest clock
+  first (seeded tie-break) plus a simulated-time event heap whose events
+  wake blocked clients. A run is a pure function of (clients, events,
+  seed), so cells cache and crash-matrix replays are bit-for-bit;
+- :mod:`repro.concurrency.oracle` — the :class:`ShadowOracle` the
+  scheduler, the serving driver and the mixed runner all check against;
 - :mod:`repro.concurrency.locks` — volatile group/bucket-level
   *versioned locks* (seqlock discipline: odd = writer in the group)
   plus per-stripe one-byte *fingerprint* multisets, the Dash recipe for
   lock-free optimistic reads that validate a version+fingerprint
   snapshot and retry on conflict;
-- :mod:`repro.concurrency.scheduler` — N logical clients, each a step
-  generator over its op stream, interleaved by a seeded scheduler that
-  context-switches at simulated-clock boundaries. Every run is a pure
-  function of (table, streams, seed): byte-replayable across processes
-  and worker counts, which is what lets the bench engine cache
-  contention cells and the crash matrix replay mid-interleaving
-  boundaries bit-for-bit.
-
-Tables advertise their lock granularity via
-:meth:`~repro.tables.base.PersistentHashTable.lock_stripes` (the group
-hash table maps a key to its candidate *groups* — the paper's natural
-locking unit); the scheduler owns the lock table, the per-client cost
-attribution (via ``MemoryBackend`` event hooks) and the lost-update /
-linearizability shadow check.
+- :mod:`repro.concurrency.scheduler` — the contention driver: the
+  kernel with no timed events, owning the lock table (stripes come from
+  :meth:`~repro.tables.base.PersistentHashTable.lock_stripes`) and
+  per-client cost attribution through one backend observer.
 """
 
+from repro.concurrency.kernel import BLOCK, Kernel
 from repro.concurrency.locks import VersionedLockTable, fingerprint_of
+from repro.concurrency.oracle import ShadowOracle
 from repro.concurrency.scheduler import (
     ClientOp,
     CommitRecord,
@@ -35,9 +34,12 @@ from repro.concurrency.scheduler import (
 )
 
 __all__ = [
+    "BLOCK",
     "ClientOp",
     "CommitRecord",
     "ConcurrentRunResult",
+    "Kernel",
+    "ShadowOracle",
     "VersionedLockTable",
     "fingerprint_of",
     "run_concurrent",

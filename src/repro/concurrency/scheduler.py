@@ -1,14 +1,15 @@
-"""The deterministic N-client interleaver over the simulated clock.
+"""The deterministic N-client contention scheduler.
 
 Real threads would make every run a different run (and under the GIL
 they would not even overlap simulated work); instead each logical
 client is a *step generator* over its op stream, yielding the simulated
-nanoseconds each step consumed, and the scheduler always resumes the
-client with the smallest simulated clock (ties broken by a seeded
-permutation). Context switches therefore happen exactly at
-simulated-clock boundaries and the whole run — interleaving, op
-results, final table bytes — is a pure function of (table, streams,
-seed). DESIGN.md decision 14 spells out the argument.
+nanoseconds each step consumed, run on the shared
+:class:`~repro.concurrency.kernel.Kernel` (smallest clock first, ties
+broken by a seeded permutation, no timed events). Context switches
+therefore happen exactly at simulated-clock boundaries and the whole
+run — interleaving, op results, final table bytes — is a pure function
+of (table, streams, seed). DESIGN.md decision 14 spells out the
+argument.
 
 Steps are chosen so the interesting races are observable:
 
@@ -23,23 +24,24 @@ Steps are chosen so the interesting races are observable:
   snapshot — a changed version means a writer committed inside the
   read window and the read retries from scratch.
 
-The scheduler owns per-client cost attribution (a chained
-``MemoryBackend`` event hook tags every write/flush/fence with the
-running client), per-client latency recorders, abort/retry counters
-(mirrored into an optional :class:`~repro.obs.MetricsRegistry`), and a
-shadow model applied in physical commit order: every query is checked
-against it at its linearization point and the final table contents
-must equal it exactly — a lost update fails the run rather than
+The scheduler owns per-client cost attribution (a backend observer
+tags every write/flush/fence with the running client), per-client
+latency recorders, abort/retry counters (mirrored into an optional
+:class:`~repro.obs.MetricsRegistry`), and the fingerprint tags; a
+:class:`~repro.concurrency.oracle.ShadowOracle` applied in physical
+commit order checks every query at its linearization point and the
+final table contents exactly — a lost update fails the run rather than
 producing plausible throughput numbers.
 """
 
 from __future__ import annotations
 
 import hashlib
-import random
 from dataclasses import dataclass, field
 
+from repro.concurrency.kernel import Kernel
 from repro.concurrency.locks import VersionedLockTable, fingerprint_of
+from repro.concurrency.oracle import ShadowOracle
 from repro.nvm.memory import NVMRegion
 from repro.obs import LatencyRecorder
 
@@ -126,7 +128,7 @@ class ConcurrentRunResult:
     lost_updates: int = 0
     #: shadow-model violations (must be empty)
     check_failures: list[str] = field(default_factory=list)
-    #: per-client persist-event attribution from the backend hook
+    #: per-client persist-event attribution from the backend observer
     client_events: list[dict] = field(default_factory=list)
     #: flight-recorder dump (last-N ops per client + recent persist
     #: events) captured when a shadow check failed; ``None`` on clean
@@ -166,27 +168,23 @@ class _Scheduler:
         seed,
         shadow,
         metrics,
-        spin_ns,
-        backoff_ns,
         timeline=None,
         recorder=None,
     ) -> None:
         self.table = table
         self.region = table.region
         self.streams = streams
-        self.seed = seed
         self.metrics = metrics
         self.timeline = timeline
         self.recorder = recorder
-        self.spin_ns = spin_ns
-        self.backoff_ns = backoff_ns
         self.locks = VersionedLockTable(table.n_lock_stripes)
-        self.shadow = dict(shadow) if shadow is not None else dict(table.items())
+        self.oracle = ShadowOracle(shadow if shadow is not None else table.items())
         # seed the fingerprint tags from what is actually resident
-        for key in self.shadow:
+        for key in self.oracle.shadow:
             self.locks.fp_add(table.lock_stripes(key)[0], fingerprint_of(key))
         n = len(streams)
-        self.clock = [0.0] * n
+        self.kernel = Kernel(n, seed, salt=0xC10C)
+        self.clock = self.kernel.clock
         self.per_client = [LatencyRecorder() for _ in range(n)]
         self.overall = LatencyRecorder()
         self.client_events = [
@@ -198,10 +196,6 @@ class _Scheduler:
         self.lock_waits = 0
         self.lock_wait_ns = 0.0
         self.fp_skips = 0
-        self.failed_ops = 0
-        self.lost_updates = 0
-        self.check_failures: list[str] = []
-        self._running: int | None = None
         # only the costed simulator advances sim_time_ns; every other
         # backend gets the deterministic per-event surrogate clock
         stats = getattr(self.region, "stats", None)
@@ -218,30 +212,23 @@ class _Scheduler:
             return float(self._stats.sim_time_ns)
         return self._raw_ns
 
-    def _hook(self, prev):
-        """Build the chained event hook attributing events to the
-        running client (and, on un-costed backends, charging
-        :data:`RAW_EVENT_NS` per event)."""
-
-        def hook(kind: str, addr: int, size: int) -> None:
-            if prev is not None:
-                prev(kind, addr, size)
-            client = self._running
-            if client is not None:
-                events = self.client_events[client]
-                events[kind] = events.get(kind, 0) + 1
-                if kind == "write":
-                    events["bytes"] += size
-            if self.timeline is not None:
-                self.timeline.record_event(kind, self._now(), addr, size)
-            if self.recorder is not None:
-                self.recorder.record_event(
-                    kind=kind, addr=addr, client=client, t_ns=self._now()
-                )
-            if self._stats is None:
-                self._raw_ns += RAW_EVENT_NS
-
-        return hook
+    def _on_event(self, kind: str, addr: int, size: int) -> None:
+        """Backend observer: attribute the event to the running client
+        (and, on un-costed backends, charge :data:`RAW_EVENT_NS`)."""
+        client = self.kernel.running
+        if client is not None:
+            events = self.client_events[client]
+            events[kind] = events.get(kind, 0) + 1
+            if kind == "write":
+                events["bytes"] += size
+        if self.timeline is not None:
+            self.timeline.record_event(kind, self._now(), addr, size)
+        if self.recorder is not None:
+            self.recorder.record_event(
+                kind=kind, addr=addr, client=client, t_ns=self._now()
+            )
+        if self._stats is None:
+            self._raw_ns += RAW_EVENT_NS
 
     def _count(self, name: str, n: int = 1) -> None:
         """Bump a ``ccl.*`` counter in the attached registry (and the
@@ -282,7 +269,7 @@ class _Scheduler:
                     raise RuntimeError(
                         f"client {client} livelocked on stripe {stripe}"
                     )
-                yield self.spin_ns
+                yield SPIN_NS
             held.append(stripe)
             # boundary: the stripe is now visibly held (readers that run
             # here observe the odd version and abort)
@@ -325,7 +312,7 @@ class _Scheduler:
             if any(version & 1 for version in snap):
                 self.read_aborts += 1
                 self._count("ccl.read_aborts")
-                yield self.backoff_ns
+                yield BACKOFF_NS
                 continue
             if not self.locks.fp_may_contain(stripes[0], fp):
                 # definite miss: no resident key carries this tag
@@ -341,16 +328,10 @@ class _Scheduler:
             if self.locks.snapshot(stripes) != snap:
                 self.read_retries += 1
                 self._count("ccl.read_retries")
-                yield self.backoff_ns
+                yield BACKOFF_NS
                 continue
             # validated: the read linearizes here, against the shadow
-            expected = self.shadow.get(op.key)
-            if found != expected:
-                self.check_failures.append(
-                    f"client {client} query {op.key.hex()}: got "
-                    f"{found.hex() if found else None}, shadow says "
-                    f"{expected.hex() if expected else None}"
-                )
+            self.oracle.check_read(client, "query", op.key, found)
             end = self.clock[client]
             record = CommitRecord(
                 client=client,
@@ -367,55 +348,21 @@ class _Scheduler:
             return
 
     def _apply_write(self, op: ClientOp) -> bool:
-        """Apply one write to the table and the shadow, checking the
-        two models agree (a disagreement on an update is a lost
-        update)."""
+        """Apply one write to the table and the oracle, keeping the
+        fingerprint tags in step with the keys that are live."""
         table, key = self.table, op.key
-        live = key in self.shadow
+        live = key in self.oracle.shadow
         if op.kind == "insert":
             ok = table.insert(key, op.value)
-            if ok:
-                if live:
-                    self.check_failures.append(
-                        f"insert of live key {key.hex()} succeeded"
-                    )
-                else:
-                    self.locks.fp_add(
-                        table.lock_stripes(key)[0], fingerprint_of(key)
-                    )
-                self.shadow[key] = op.value
-            else:
-                self.failed_ops += 1
+            if ok and not live:
+                self.locks.fp_add(table.lock_stripes(key)[0], fingerprint_of(key))
         elif op.kind == "update":
             ok = table.update(key, op.value)
-            if live:
-                if not ok:
-                    self.lost_updates += 1
-                    self.check_failures.append(
-                        f"update lost live key {key.hex()}"
-                    )
-                else:
-                    self.shadow[key] = op.value
-            else:
-                if ok:
-                    self.check_failures.append(
-                        f"update of dead key {key.hex()} succeeded"
-                    )
-                self.failed_ops += 1
         else:  # delete
             ok = table.delete(key)
-            if ok != live:
-                self.check_failures.append(
-                    f"delete of key {key.hex()} disagrees with the shadow "
-                    f"(deleted={ok}, live={live})"
-                )
             if ok and live:
-                del self.shadow[key]
-                self.locks.fp_remove(
-                    table.lock_stripes(key)[0], fingerprint_of(key)
-                )
-            if not ok:
-                self.failed_ops += 1
+                self.locks.fp_remove(table.lock_stripes(key)[0], fingerprint_of(key))
+        self.oracle.apply(op.kind, key, op.value, ok)
         return ok
 
     def _record_latency(self, client: int, record: CommitRecord) -> None:
@@ -448,61 +395,43 @@ class _Scheduler:
             )
 
     # ------------------------------------------------------------------
-    # the interleaver
+    # the run
 
     def run(self) -> ConcurrentRunResult:
         """Drive every client to completion and run the final checks."""
-        n = len(self.streams)
-        order = list(range(n))
-        random.Random((self.seed << 6) ^ 0xC10C).shuffle(order)
-        priority = {client: rank for rank, client in enumerate(order)}
         generators = [
             self._client_gen(client, stream)
             for client, stream in enumerate(self.streams)
         ]
-        alive = set(range(n))
-        previous_hook = self.region.event_hook
-        self.region.event_hook = self._hook(previous_hook)
+        observer = self._on_event
+        self.region.observe(observer)
         try:
-            while alive:
-                client = min(
-                    alive, key=lambda c: (self.clock[c], priority[c])
-                )
-                self._running = client
-                try:
-                    cost = next(generators[client])
-                except StopIteration:
-                    alive.discard(client)
-                    continue
-                finally:
-                    self._running = None
-                self.clock[client] += cost
+            self.kernel.run(generators)
         finally:
-            self.region.event_hook = previous_hook
+            self.region.unobserve(observer)
         self._mark_concurrent()
-        self._final_check()
+        oracle = self.oracle
+        oracle.diff(self.table.items())
         failure_context = None
-        if self.recorder is not None and (
-            self.check_failures or self.lost_updates
-        ):
+        if self.recorder is not None and (oracle.failures or oracle.lost_updates):
             # the shadow oracle tripped: ship the black box with the
             # verdict so the report carries its last-N-ops context
             failure_context = self.recorder.dump()
         return ConcurrentRunResult(
-            n_clients=n,
+            n_clients=len(self.streams),
             ops=sum(len(s) for s in self.streams),
             committed=self.committed,
             per_client=self.per_client,
             overall=self.overall,
-            span_ns=max(self.clock) if self.clock else 0.0,
+            span_ns=max(self.clock),
             read_aborts=self.read_aborts,
             read_retries=self.read_retries,
             lock_waits=self.lock_waits,
             lock_wait_ns=self.lock_wait_ns,
             fp_skips=self.fp_skips,
-            failed_ops=self.failed_ops,
-            lost_updates=self.lost_updates,
-            check_failures=self.check_failures,
+            failed_ops=oracle.failed_ops,
+            lost_updates=oracle.lost_updates,
+            check_failures=oracle.failures,
             client_events=self.client_events,
             failure_context=failure_context,
         )
@@ -520,25 +449,6 @@ class _Scheduler:
                     record.concurrent = True
             active.append(record)
 
-    def _final_check(self) -> None:
-        """Final-state oracle: the table's contents must equal the
-        shadow applied in commit order — anything else is a lost update
-        or a phantom."""
-        final = dict(self.table.items())
-        for key, value in self.shadow.items():
-            got = final.get(key)
-            if got != value:
-                self.lost_updates += 1
-                self.check_failures.append(
-                    f"final state lost key {key.hex()}: expected "
-                    f"{value.hex()}, found {got.hex() if got else None}"
-                )
-        for key in final:
-            if key not in self.shadow:
-                self.check_failures.append(
-                    f"final state has phantom key {key.hex()}"
-                )
-
 
 def run_concurrent(
     table,
@@ -549,8 +459,6 @@ def run_concurrent(
     metrics=None,
     timeline=None,
     recorder=None,
-    spin_ns: float = SPIN_NS,
-    backoff_ns: float = BACKOFF_NS,
 ) -> ConcurrentRunResult:
     """Run ``streams`` (one op list per logical client) against
     ``table`` under the deterministic interleaver.
@@ -569,8 +477,6 @@ def run_concurrent(
     result is a pure function of the arguments: same table state +
     streams + seed ⇒ identical interleaving, op results and final
     table bytes."""
-    if not streams:
-        raise ValueError("need at least one client stream")
     scheduler = _Scheduler(
         table,
         streams,
@@ -579,7 +485,5 @@ def run_concurrent(
         metrics=metrics,
         timeline=timeline,
         recorder=recorder,
-        spin_ns=spin_ns,
-        backoff_ns=backoff_ns,
     )
     return scheduler.run()

@@ -50,6 +50,7 @@ from repro.nvm.memory import (
     _U64,
     image_diff,
 )
+from repro.nvm.observe import Observable
 from repro.nvm.stats import MemStats
 
 
@@ -298,7 +299,7 @@ SimBackend = NVMRegion
 _NP_MIN_SCAN = 16
 
 
-class RawBackend:
+class RawBackend(Observable):
     """Simulation-free :class:`MemoryBackend`: the fast path.
 
     Keeps the same two images as the simulator — volatile view and
@@ -335,8 +336,9 @@ class RawBackend:
         #: :meth:`mark_abandoned`); volatile bookkeeping
         self.abandoned_bytes = 0
         self._crash_countdown: int | None = None
-        self._hook: Callable[[str, int, int], None] | None = None
-        # Hot-path gate: True only while an armed crash or an event hook
+        self._observers = ()
+        self._notify: Callable[[str, int, int], None] | None = None
+        # Hot-path gate: True only while an armed crash or an observer
         # needs per-event bookkeeping. Keeping this a single attribute
         # lets read/write/persist skip two attribute tests per event.
         self._slow = False
@@ -358,24 +360,17 @@ class RawBackend:
         else:
             self._np_u8 = self._np_u64 = None
 
-    @property
-    def event_hook(self) -> Callable[[str, int, int], None] | None:
-        """Optional observer ``hook(kind, addr, size)`` — same contract
-        as :attr:`NVMRegion.event_hook`."""
-        return self._hook
-
-    @event_hook.setter
-    def event_hook(self, hook: Callable[[str, int, int], None] | None) -> None:
-        self._hook = hook
-        self._slow = hook is not None or self._crash_countdown is not None
+    def _set_observers(self, observers) -> None:
+        super()._set_observers(observers)
+        self._slow = self._notify is not None or self._crash_countdown is not None
 
     def _pre_event(self, kind: str, addr: int, size: int) -> None:
         """Armed-crash tick + observer call, in the simulator's order."""
         if self._crash_countdown is not None:
             self._crash_tick()
-        hook = self._hook
-        if hook is not None:
-            hook(kind, addr, size)
+        notify = self._notify
+        if notify is not None:
+            notify(kind, addr, size)
 
     # ------------------------------------------------------------------
     # allocation
@@ -424,7 +419,7 @@ class RawBackend:
     def disarm_crash(self) -> None:
         """Cancel a pending armed crash."""
         self._crash_countdown = None
-        self._slow = self._hook is not None
+        self._slow = self._notify is not None
 
     def _crash_tick(self) -> None:
         countdown = self._crash_countdown
@@ -433,7 +428,7 @@ class RawBackend:
         countdown -= 1
         if countdown <= 0:
             self._crash_countdown = None
-            self._slow = self._hook is not None
+            self._slow = self._notify is not None
             raise SimulatedPowerFailure("armed crash point reached")
         self._crash_countdown = countdown
 
@@ -1094,6 +1089,16 @@ class ShardedBackend:
         """Element-wise sum of every shard's counters (a fresh snapshot;
         mutating it does not affect the shards)."""
         return MemStats.merged_all(s.stats for s in self.shards)
+
+    def observe(self, fn: Callable[[str, int, int], None]) -> None:
+        """Attach ``fn`` to every shard's event stream."""
+        for s in self.shards:
+            s.observe(fn)
+
+    def unobserve(self, fn: Callable[[str, int, int], None]) -> None:
+        """Detach ``fn`` from every shard."""
+        for s in self.shards:
+            s.unobserve(fn)
 
     def crash(
         self,

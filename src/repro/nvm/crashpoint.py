@@ -288,7 +288,9 @@ def record_trace(
     its program-order index, each op with the event count it retired at
     — so a failing campaign can ship last-N context alongside the
     minimal failing prefix. The recorder is volatile-only: it observes
-    the same hook invocations the trace does and never changes them.
+    the same events the trace does and never changes them. The trace is
+    recorded by one more observer on the harness backend: observers
+    already attached keep observing, before and after.
 
     Raises if any op does not take effect — campaign workloads must be
     deterministic, and an op that fails in the recording would silently
@@ -296,18 +298,12 @@ def record_trace(
     events: list[PersistEvent] = []
     backend = harness.crash_backend
 
-    if recorder is None:
-
-        def hook(kind: str, addr: int, size: int) -> None:
-            events.append(PersistEvent(kind, addr, size))
-
-    else:
-
-        def hook(kind: str, addr: int, size: int) -> None:
+    def hook(kind: str, addr: int, size: int) -> None:
+        if recorder is not None:
             recorder.record_event(index=len(events) + 1, kind=kind, addr=addr)
-            events.append(PersistEvent(kind, addr, size))
+        events.append(PersistEvent(kind, addr, size))
 
-    backend.event_hook = hook
+    backend.observe(hook)
     op_end_events: list[int] = []
     split_windows: list[tuple[int, int]] = []
     concurrent_windows: list[tuple[int, int]] = []
@@ -342,7 +338,7 @@ def record_trace(
                     events_done=len(events),
                 )
     finally:
-        backend.event_hook = None
+        backend.unobserve(hook)
     return WorkloadTrace(
         events=events,
         op_end_events=op_end_events,

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from repro.nvm.cache import CacheConfig, CacheSim
 from repro.nvm.crash import CrashSchedule, drop_all_schedule
 from repro.nvm.latency import PAPER_NVM, LatencyModel
+from repro.nvm.observe import Observable
 from repro.nvm.stats import MemStats
 from repro.nvm.wear import WearMap
 
@@ -120,7 +121,7 @@ class Allocation:
     size: int
 
 
-class NVMRegion:
+class NVMRegion(Observable):
     """A simulated persistent memory region with a cache in front.
 
     All addresses are offsets into the region. Use :meth:`alloc` to carve
@@ -147,7 +148,8 @@ class NVMRegion:
         "_crash_countdown",
         "abandoned_bytes",
         "wear",
-        "event_hook",
+        "_observers",
+        "_notify",
         "_prev_line",
         "_fast_line",
     )
@@ -183,12 +185,12 @@ class NVMRegion:
         self.wear: WearMap | None = (
             WearMap(size, self._line) if self.config.track_wear else None
         )
-        #: optional observer called as ``hook(kind, addr, size)`` for
-        #: "write" / "flush" / "fence" events, in program order. Tests
-        #: use it to assert persist *ordering* (e.g. Algorithm 1 flushes
-        #: the key-value bytes before the bitmap store issues); it is
-        #: also the extension point for external trace collection.
-        self.event_hook = None
+        #: observers (:meth:`observe`) called as ``fn(kind, addr, size)``
+        #: for "write" / "flush" / "fence" events, in program order.
+        #: Tests use them to assert persist *ordering* (e.g. Algorithm 1
+        #: flushes the key-value bytes before the bitmap store issues).
+        self._observers = ()
+        self._notify = None
         # sequential-stream prefetcher state: the last line touched; a
         # miss on line N+1 right after touching line N is treated as
         # prefetch-covered (see LatencyModel.prefetch_hit_ns)
@@ -380,8 +382,8 @@ class NVMRegion:
             self._check_range(addr, size)
         if self._crash_countdown is not None:
             self._crash_tick()
-        if self.event_hook is not None:
-            self.event_hook("write", addr, size)
+        if self._notify is not None:
+            self._notify("write", addr, size)
         self._touch(addr, size, True)
         stats = self.stats
         stats.writes += 1
@@ -601,8 +603,8 @@ class NVMRegion:
         containing ``addr``. A dirty line pays the NVM write penalty."""
         self._check_range(addr, 1)
         self._crash_tick()
-        if self.event_hook is not None:
-            self.event_hook("flush", addr, self._line)
+        if self._notify is not None:
+            self._notify("flush", addr, self._line)
         line = addr // self._line
         if self.config.flush_invalidates:
             was_cached, was_dirty = self.cache.flush(line)
@@ -633,8 +635,8 @@ class NVMRegion:
         """Memory fence: orders stores (a no-op for correctness in this
         sequential simulator) and charges its cost."""
         self._crash_tick()
-        if self.event_hook is not None:
-            self.event_hook("fence", 0, 0)
+        if self._notify is not None:
+            self._notify("fence", 0, 0)
         self.stats.fences += 1
         self.stats.sim_time_ns += self._latency.fence_ns
 

@@ -21,6 +21,8 @@ from typing import Callable
 
 import numpy as np
 
+from repro.nvm.observe import Observable
+
 
 @dataclass(frozen=True)
 class WearReport:
@@ -52,7 +54,7 @@ class WearReport:
         return self.max_line_writes / endurance
 
 
-class WearMap:
+class WearMap(Observable):
     """Numpy-backed per-line write counters for one region."""
 
     def __init__(self, size: int, line_size: int) -> None:
@@ -60,16 +62,17 @@ class WearMap:
             raise ValueError("size and line_size must be positive")
         self.line_size = line_size
         self._counts = np.zeros((size + line_size - 1) // line_size, dtype=np.int64)
-        #: optional volatile observer called with each recorded line —
-        #: how the window sampler feeds its wear-heat series; purely
-        #: observational, never touches the backend
-        self.on_record: Callable[[int], None] | None = None
+        #: volatile observers (see :meth:`observe`) called with each
+        #: recorded line — how the window sampler feeds its wear-heat
+        #: series; purely observational, never touches the backend
+        self._observers = ()
+        self._notify: Callable[[int], None] | None = None
 
     def record(self, line: int) -> None:
         """Count one medium write of ``line``."""
         self._counts[line] += 1
-        if self.on_record is not None:
-            self.on_record(line)
+        if self._notify is not None:
+            self._notify(line)
 
     def line_writes(self, line: int) -> int:
         """Write count of one line."""

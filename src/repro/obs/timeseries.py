@@ -24,12 +24,12 @@ A series is JSON-round-trippable (:meth:`WindowSeries.as_dict` /
 timelines together (:meth:`WindowSeries.chrome_counter_events`).
 
 :class:`WindowSampler` attaches a series to a backend the same way the
-:class:`~repro.obs.Tracer` does — a chained ``event_hook`` plus (when
-the region tracks wear) a chained :class:`~repro.nvm.wear.WearMap`
-observer — and restores both exactly on detach. Sampling reads clocks
-and observes hooks only; it never issues a region event, so the
-simulated event stream is byte-identical with a sampler attached
-(pinned by ``tests/test_timeseries.py``).
+:class:`~repro.obs.Tracer` does — one entry in the backend's observer
+list plus (when the region tracks wear) one in its
+:class:`~repro.nvm.wear.WearMap`'s — and removes exactly those entries
+on detach. Sampling reads clocks and observes events only; it never
+issues a region event, so the simulated event stream is byte-identical
+with a sampler attached (pinned by ``tests/test_timeseries.py``).
 """
 
 from __future__ import annotations
@@ -358,13 +358,13 @@ class WindowSeries:
 class WindowSampler:
     """Feeds a :class:`WindowSeries` from a backend's event stream.
 
-    Attaching chains the backend's ``event_hook`` (every shard's, for a
-    sharded backend) exactly like the tracer does, counting ``writes``
-    / ``flushes`` / ``fences`` per window; when a region tracks wear
-    (:class:`~repro.nvm.memory.SimConfig` ``track_wear``), the wear
-    map's observer is chained too and every medium line write lands in
-    the ``wear_heat`` heat channel. :meth:`detach` restores every hook
-    to exactly what it was.
+    Attaching observes the backend (every shard, for a sharded backend)
+    exactly like the tracer does, counting ``writes`` / ``flushes`` /
+    ``fences`` per window; when a region tracks wear
+    (:class:`~repro.nvm.memory.SimConfig` ``track_wear``), the sampler
+    observes its wear map too and every medium line write lands in the
+    ``wear_heat`` heat channel. :meth:`detach` removes only the
+    sampler's own observers.
 
     The window clock is, in order of preference: an explicit ``clock``
     callable, the first attached backend's ``stats.sim_time_ns``, or a
@@ -382,8 +382,8 @@ class WindowSampler:
         self._clock = clock
         self._stats: Any = None
         self._surrogate_ns = 0.0
-        self._attached: list[tuple[Any, Callable | None]] = []
-        self._wear_attached: list[tuple[Any, Callable | None]] = []
+        #: (backend or wear map, observer) pairs this sampler attached
+        self._attached: list[tuple[Any, Callable]] = []
 
     def _now(self) -> float:
         """Current simulated time for window assignment."""
@@ -394,54 +394,28 @@ class WindowSampler:
         return self._surrogate_ns
 
     def attach(self, backend: Any) -> None:
-        """Start sampling ``backend`` (each shard, when sharded):
-        chain its ``event_hook`` and, where present, its wear map's
-        ``on_record`` observer."""
-        targets = list(backend.shards) if hasattr(backend, "shards") else [backend]
-        for target in targets:
-            prev = target.event_hook
-            target.event_hook = self._chained(prev)
-            self._attached.append((target, prev))
+        """Start sampling ``backend`` (each shard, when sharded): observe
+        its events and, where a region tracks wear, its wear map."""
+        observer = self._on_event
+        backend.observe(observer)
+        self._attached.append((backend, observer))
+        # the clock and the wear maps live on the individual regions
+        for region in getattr(backend, "shards", (backend,)):
             if self._stats is None and self._clock is None:
-                stats = getattr(target, "stats", None)
-                if stats is not None and hasattr(stats, "sim_time_ns"):
-                    self._stats = stats
-            wear = getattr(target, "wear", None)
+                self._stats = region.stats
+            wear = getattr(region, "wear", None)
             if wear is not None:
-                prev_obs = wear.on_record
-                wear.on_record = self._chained_wear(prev_obs)
-                self._wear_attached.append((wear, prev_obs))
+                wear_observer = self._on_wear
+                wear.observe(wear_observer)
+                self._attached.append((wear, wear_observer))
 
     def detach(self) -> None:
-        """Stop sampling: restore every chained hook and wear observer
-        to exactly its pre-:meth:`attach` value."""
-        for target, prev in reversed(self._attached):
-            target.event_hook = prev
+        """Stop sampling: remove this sampler's event and wear observers
+        (any other observer stays attached)."""
+        for target, observer in self._attached:
+            target.unobserve(observer)
         self._attached.clear()
-        for wear, prev in reversed(self._wear_attached):
-            wear.on_record = prev
-        self._wear_attached.clear()
         self._stats = None
-
-    def _chained(self, prev: "Callable | None") -> Callable:
-        if prev is None:
-            return self._on_event
-
-        def hook(kind: str, addr: int, size: int) -> None:
-            prev(kind, addr, size)
-            self._on_event(kind, addr, size)
-
-        return hook
-
-    def _chained_wear(self, prev: "Callable | None") -> Callable:
-        if prev is None:
-            return self._on_wear
-
-        def observer(line: int) -> None:
-            prev(line)
-            self._on_wear(line)
-
-        return observer
 
     def _on_event(self, kind: str, addr: int, size: int) -> None:
         self.series.record_event(kind, self._now(), addr, size)
@@ -452,7 +426,4 @@ class WindowSampler:
         self.series.touch("wear_heat", self._now(), line)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"WindowSampler(attached={len(self._attached)}, "
-            f"wear={len(self._wear_attached)})"
-        )
+        return f"WindowSampler(attached={len(self._attached)})"

@@ -8,7 +8,7 @@ Each span captures, between its ``push`` and ``pop``:
   via cost-free snapshots — spans measure *simulated* cost, never
   wall-clock;
 - the **persist events by kind** (``write`` / ``flush`` / ``fence``),
-  observed through the backend's ``event_hook`` in program order.
+  observed as one of the backend's observers, in program order.
 
 Two outputs come out of one recording:
 
@@ -23,9 +23,10 @@ Instrumented code guards every call site with ``if tracer is not
 None:`` — a tracer that was never created costs the disabled path two
 local-variable tests per stage and **zero simulated events**, so
 simulation results are byte-identical with tracing off (pinned by
-``tests/test_obs.py``). Attaching chains any pre-existing ``event_hook``
-and :meth:`Tracer.detach` restores it exactly, including the raw
-backend's no-hook fast path.
+``tests/test_obs.py``). Attaching appends the tracer to the backend's
+observer list and :meth:`Tracer.detach` removes exactly that entry,
+leaving every other observer in place (and the raw backend's
+no-observer fast path back once the last one leaves).
 """
 
 from __future__ import annotations
@@ -129,8 +130,8 @@ class Tracer:
 
     - ``backend`` — the :class:`~repro.nvm.backend.MemoryBackend` (or
       :class:`~repro.nvm.backend.ShardedBackend`) to observe; attaching
-      installs a chained ``event_hook`` on it (each shard, when
-      sharded). ``None`` defers to a later :meth:`attach`.
+      adds the tracer to its observers (each shard's, when sharded).
+      ``None`` defers to a later :meth:`attach`.
     - ``keep_events`` — also keep per-span-instance records for the
       Chrome trace export (aggregation alone is unbounded-safe; the
       event log is capped).
@@ -147,7 +148,7 @@ class Tracer:
         max_events: int = 100_000,
     ) -> None:
         self._src: Any = None
-        self._attached: list[tuple[Any, Callable | None]] = []
+        self._attached: list[tuple[Any, Callable]] = []
         self._stack: list[_Frame] = []
         self._agg: dict[str, _SpanAgg] = {}
         self.keep_events = keep_events
@@ -165,34 +166,19 @@ class Tracer:
     # backend attachment
 
     def attach(self, backend: Any) -> None:
-        """Start observing ``backend``: chain this tracer onto its
-        ``event_hook`` (every shard's, for a sharded backend) and use
-        its ``stats`` for span snapshots."""
-        targets = list(backend.shards) if hasattr(backend, "shards") else [backend]
-        for target in targets:
-            prev = target.event_hook
-            target.event_hook = self._chained(prev)
-            self._attached.append((target, prev))
+        """Start observing ``backend`` (every shard, for a sharded
+        backend) and use its ``stats`` for span snapshots."""
+        observer = self._on_event
+        backend.observe(observer)
+        self._attached.append((backend, observer))
         self._src = backend
 
     def detach(self) -> None:
-        """Stop observing: restore every chained ``event_hook`` to
-        exactly what it was before :meth:`attach` (re-enabling any
-        backend fast path that hooks disable)."""
-        for target, prev in reversed(self._attached):
-            target.event_hook = prev
+        """Stop observing every attached backend; other observers stay."""
+        for backend, observer in self._attached:
+            backend.unobserve(observer)
         self._attached.clear()
         self._src = None
-
-    def _chained(self, prev: Callable | None) -> Callable:
-        if prev is None:
-            return self._on_event
-
-        def hook(kind: str, addr: int, size: int) -> None:
-            prev(kind, addr, size)
-            self._on_event(kind, addr, size)
-
-        return hook
 
     def _on_event(self, kind: str, addr: int, size: int) -> None:
         stack = self._stack

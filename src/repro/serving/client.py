@@ -1,15 +1,16 @@
 """Simulated serving clients: location caching over the routed path.
 
-M logical clients drive one :class:`~repro.serving.router.Router` under
-the same discipline the concurrency layer established (DESIGN.md
-decision 14): each client is a *step generator* yielding the simulated
-nanoseconds its current step consumed, and the driver always resumes
-the client with the smallest simulated clock (ties broken by a seeded
-permutation). Doorbell events — batch-full and batch-timer flushes —
-live on a simulated-time heap and are processed before any client whose
-clock has passed them, so the whole run (interleaving, queue contents,
-op results, final table bytes) is a pure function of (table, streams,
-parameters, seed).
+M logical clients drive one :class:`~repro.serving.router.Router` on
+the concurrency layer's :class:`~repro.concurrency.kernel.Kernel`
+(DESIGN.md decision 14): each client is a *step generator* yielding the
+simulated nanoseconds its current step consumed, and the kernel always
+resumes the client with the smallest simulated clock (ties broken by a
+seeded permutation). Doorbell events — batch-full and batch-timer
+flushes — are the kernel's timed events and fire before any client
+whose clock has passed them; a client that submitted a routed request
+blocks until the flush delivers its reply. The whole run (interleaving,
+queue contents, op results, final table bytes) is therefore a pure
+function of (table, streams, parameters, seed).
 
 Each client keeps a **location cache**: key → (shard, segment info
 address), fed from the location the router reports with every routed
@@ -20,27 +21,23 @@ Hints go stale when a segment split moves the key; the protocol is
 *miss-and-retry*: splits sweep moved tenants out of the victim segment
 and updates are in-place, so a stale hint can only ever **miss** —
 never return a wrong value — and a hinted miss invalidates the hint and
-re-routes through the server, whose reply re-primes the cache. Every
-one-sided hit is checked against the shadow model at its linearization
-point (``wrong_answers`` must stay 0), and the final table contents
-must equal the shadow applied in flush order.
+re-routes through the server, whose reply re-primes the cache. A
+:class:`~repro.concurrency.oracle.ShadowOracle` checks every one-sided
+hit at its linearization point (``wrong_answers`` must stay 0) and
+every routed op in flush order, and the final table contents must equal
+it.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import math
-import random
 from dataclasses import dataclass, field
 
+from repro.concurrency.kernel import BLOCK, Kernel
+from repro.concurrency.oracle import ShadowOracle
 from repro.concurrency.scheduler import ClientOp
 from repro.obs import LatencyRecorder
 from repro.serving.netmodel import NetworkModel
-from repro.serving.router import Request, Router, ServedReply
-
-#: sentinel a client generator yields while waiting for a routed reply
-_WAIT = object()
+from repro.serving.router import Request, Router
 
 
 @dataclass
@@ -119,40 +116,19 @@ class _ServingDriver:
     """One run's mutable state; :func:`run_serving` drives it."""
 
     def __init__(
-        self,
-        table,
-        streams,
-        *,
-        net,
-        batch_max,
-        batch_wait_ns,
-        wakeup_ns,
-        dispatch_ns,
-        location_cache,
-        seed,
-        shadow,
-        metrics,
-        timeline,
+        self, router, streams, *, location_cache, seed, shadow, metrics, timeline
     ) -> None:
-        self.router = Router(
-            table,
-            net,
-            batch_max=batch_max,
-            batch_wait_ns=batch_wait_ns,
-            wakeup_ns=wakeup_ns,
-            dispatch_ns=dispatch_ns,
-            metrics=metrics,
-            timeline=timeline,
-        )
+        table = router.table
+        self.router = router
         self.table = table
         self.streams = streams
-        self.seed = seed
         self.use_cache = location_cache
         self.metrics = metrics
         self.timeline = timeline
-        self.shadow = dict(shadow) if shadow is not None else dict(table.items())
+        self.oracle = ShadowOracle(shadow if shadow is not None else table.items())
         n = len(streams)
-        self.clock = [0.0] * n
+        self.kernel = Kernel(n, seed, salt=0x5E21)
+        self.clock = self.kernel.clock
         self.caches: list[dict[bytes, tuple[int, int]]] = [{} for _ in range(n)]
         self.per_client = [LatencyRecorder() for _ in range(n)]
         self.overall = LatencyRecorder()
@@ -161,17 +137,10 @@ class _ServingDriver:
         self.routed_ops = 0
         self.hint_misses = 0
         self.wrong_answers = 0
-        self.failed_ops = 0
-        self.check_failures: list[str] = []
         spec = table.spec
         self._read_bytes = spec.key_size
         self._write_bytes = spec.key_size + spec.value_size
         self._value_bytes = spec.value_size
-        # the doorbell heap: (time, seq, kind, shard, generation)
-        self._heap: list[tuple[float, int, str, int, int]] = []
-        self._seq = itertools.count()
-        #: reply payload for a client resumed after _WAIT
-        self._pending: dict[int, tuple[bool, bytes | None, tuple | None]] = {}
 
     # ------------------------------------------------------------------
     # client op generators (each yields simulated-ns step costs)
@@ -195,7 +164,11 @@ class _ServingDriver:
                         self.metrics.counter("serving.one_sided").inc()
                     yield probe_cost
                     if value is not None:
-                        self._check_one_sided(client, op, value)
+                        # a one-sided hit linearizes at its probe
+                        if not self.oracle.check_read(
+                            client, "one-sided read", op.key, value
+                        ):
+                            self.wrong_answers += 1
                         self._commit(
                             client, op_index, op, issue,
                             ok=True, found=value, one_sided=True,
@@ -214,8 +187,15 @@ class _ServingDriver:
                 else self._read_bytes
             )
             yield net.request_ns(payload)
-            reply = yield self._submit(client, op_index, op)
-            ok, found, location = reply
+            # enqueue at the client's clock, arm whatever doorbell that
+            # produced, and block until the flush delivers the reply
+            shard = self.router.shard_of(op.key)
+            request = Request(client, op_index, op, self.clock[client])
+            event = self.router.enqueue(shard, request)
+            self.routed_ops += 1
+            if event is not None:
+                self.kernel.at(event[1], (shard, event))
+            ok, found, location = yield BLOCK
             if self.use_cache and location is not None and op.kind != "delete":
                 cache[op.key] = location
             elif op.kind == "delete":
@@ -224,18 +204,6 @@ class _ServingDriver:
                 client, op_index, op, issue,
                 ok=ok, found=found, retried=retried,
             )
-
-    def _submit(self, client: int, op_index: int, op: ClientOp):
-        """Enqueue one routed request at the client's current clock and
-        schedule whatever doorbell event that produced; the caller
-        yields the returned ``_WAIT`` and blocks until delivery."""
-        shard = self.router.shard_of(op.key)
-        now = self.clock[client]
-        event = self.router.enqueue(shard, Request(client, op_index, op, now))
-        self.routed_ops += 1
-        if event is not None:
-            self._push(event, shard)
-        return _WAIT
 
     def _one_sided_probe(
         self, hint: tuple[int, int], key: bytes
@@ -252,68 +220,6 @@ class _ServingDriver:
         mark = self.router._shard_clock(shard)
         value = target.query(key)
         return value, self.router._shard_clock(shard) - mark
-
-    # ------------------------------------------------------------------
-    # shadow model (applied in execution order)
-
-    def _check_one_sided(self, client: int, op: ClientOp, value: bytes) -> None:
-        """A one-sided *hit* linearizes at its probe; it must agree with
-        the shadow or the staleness protocol is broken."""
-        expected = self.shadow.get(op.key)
-        if value != expected:
-            self.wrong_answers += 1
-            self.check_failures.append(
-                f"client {client} one-sided read {op.key.hex()}: got "
-                f"{value.hex()}, shadow says "
-                f"{expected.hex() if expected else None}"
-            )
-
-    def _apply_shadow(self, reply: ServedReply) -> None:
-        """Apply one flushed op to the shadow at its linearization point
-        (flush execution order) and check the table agreed."""
-        op = reply.request.op
-        key = op.key
-        result = reply.result
-        live = key in self.shadow
-        if op.kind == "query":
-            expected = self.shadow.get(key)
-            if result != expected:
-                self.check_failures.append(
-                    f"client {reply.request.client} routed query "
-                    f"{key.hex()}: got "
-                    f"{result.hex() if result else None}, shadow says "
-                    f"{expected.hex() if expected else None}"
-                )
-        elif op.kind == "insert":
-            if result:
-                if live:
-                    self.check_failures.append(
-                        f"insert of live key {key.hex()} succeeded"
-                    )
-                self.shadow[key] = op.value
-            else:
-                self.failed_ops += 1
-        elif op.kind == "update":
-            if result and live:
-                self.shadow[key] = op.value
-            elif live:
-                self.check_failures.append(f"update lost live key {key.hex()}")
-            else:
-                if result:
-                    self.check_failures.append(
-                        f"update of dead key {key.hex()} succeeded"
-                    )
-                self.failed_ops += 1
-        elif op.kind == "delete":
-            if bool(result) != live:
-                self.check_failures.append(
-                    f"delete of key {key.hex()} disagrees with the shadow "
-                    f"(deleted={result}, live={live})"
-                )
-            if result and live:
-                del self.shadow[key]
-            if not result:
-                self.failed_ops += 1
 
     # ------------------------------------------------------------------
     # bookkeeping
@@ -353,116 +259,61 @@ class _ServingDriver:
             self.timeline.observe("latency", done, latency)
             self.timeline.inc("ops", done)
 
-    def _push(self, event: tuple, shard: int) -> None:
-        """Schedule one doorbell event on the simulated-time heap."""
-        if event[0] == "flush":
-            heapq.heappush(
-                self._heap, (event[1], next(self._seq), "flush", shard, -1)
-            )
-        else:
-            heapq.heappush(
-                self._heap, (event[1], next(self._seq), "timer", shard, event[2])
-            )
-
-    def _flush(self, shard: int, now: float, ready: set[int]) -> None:
-        """Run one shard flush: execute the batch, apply the shadow in
-        execution order, deliver replies (unblocking their clients at
-        the delivery time) and schedule the shard's next doorbell."""
-        replies, followup = self.router.flush(shard, now)
-        if followup is not None:
-            self._push(followup, shard)
-        for reply in replies:
-            self._apply_shadow(reply)
-            op = reply.request.op
-            if op.kind == "query":
-                payload = (True, reply.result, reply.location)
-            else:
-                payload = (bool(reply.result), None, reply.location)
-            client = reply.request.client
-            self.clock[client] = reply.delivery_ns
-            self._pending[client] = payload
-            ready.add(client)
-
     # ------------------------------------------------------------------
-    # the interleaver
+    # doorbells (the kernel's timed events)
+
+    def _on_doorbell(self, t_ns: float, armed: tuple[int, tuple]) -> None:
+        """Fire one router doorbell (``("flush", t)`` or ``("timer", t,
+        generation)``) unless a flush already retired that timer: run
+        the shard flush, apply the oracle in execution order, deliver
+        replies (waking their clients at the delivery time) and arm the
+        shard's next doorbell."""
+        shard, event = armed
+        if event[0] == "timer" and not self.router.timer_valid(shard, event[2]):
+            return
+        replies, followup = self.router.flush(shard, t_ns)
+        if followup is not None:
+            self.kernel.at(followup[1], (shard, followup))
+        oracle = self.oracle
+        for reply in replies:
+            request = reply.request
+            op, result = request.op, reply.result
+            if op.kind == "query":
+                oracle.check_read(request.client, "routed query", op.key, result)
+                payload = (True, result, reply.location)
+            else:
+                oracle.apply(op.kind, op.key, op.value, bool(result))
+                payload = (bool(result), None, reply.location)
+            self.kernel.wake(request.client, reply.delivery_ns, payload)
 
     def run(self) -> ServingResult:
         """Drive every client to completion and run the final check."""
-        n = len(self.streams)
-        order = list(range(n))
-        random.Random((self.seed << 6) ^ 0x5E21).shuffle(order)
-        priority = {client: rank for rank, client in enumerate(order)}
-        generators = [
-            self._client_gen(client, stream)
-            for client, stream in enumerate(self.streams)
-        ]
-        alive = set(range(n))
-        ready = set(range(n))
-        heap = self._heap
-        while alive:
-            if ready:
-                client = min(ready, key=lambda c: (self.clock[c], priority[c]))
-                next_clock = self.clock[client]
-            else:
-                client = None
-                next_clock = math.inf
-            if heap and heap[0][0] <= next_clock:
-                t, _, kind, shard, generation = heapq.heappop(heap)
-                if kind == "timer" and not self.router.timer_valid(
-                    shard, generation
-                ):
-                    continue
-                self._flush(shard, t, ready)
-                continue
-            if client is None:
-                raise RuntimeError(
-                    "serving deadlock: clients blocked with no doorbell armed"
-                )
-            try:
-                step = generators[client].send(self._pending.pop(client, None))
-            except StopIteration:
-                alive.discard(client)
-                ready.discard(client)
-                continue
-            if step is _WAIT:
-                ready.discard(client)
-            else:
-                self.clock[client] += step
-        self._final_check()
+        self.kernel.run(
+            [
+                self._client_gen(client, stream)
+                for client, stream in enumerate(self.streams)
+            ],
+            self._on_doorbell,
+        )
+        oracle = self.oracle
+        oracle.diff(self.table.items())
         return ServingResult(
-            n_clients=n,
+            n_clients=len(self.streams),
             ops=sum(len(s) for s in self.streams),
             committed=self.committed,
             per_client=self.per_client,
             overall=self.overall,
-            span_ns=max(self.clock) if self.clock else 0.0,
+            span_ns=max(self.clock),
             one_sided_reads=self.one_sided_reads,
             routed_ops=self.routed_ops,
             hint_misses=self.hint_misses,
             wrong_answers=self.wrong_answers,
-            failed_ops=self.failed_ops,
+            failed_ops=oracle.failed_ops,
             flushes=self.router.flushes,
             batched_ops=self.router.batched_ops,
             max_queue_depth=self.router.max_queue_depth,
-            check_failures=self.check_failures,
+            check_failures=oracle.failures,
         )
-
-    def _final_check(self) -> None:
-        """Final-state oracle: the table's contents must equal the
-        shadow applied in flush order."""
-        final = dict(self.table.items())
-        for key, value in self.shadow.items():
-            got = final.get(key)
-            if got != value:
-                self.check_failures.append(
-                    f"final state lost key {key.hex()}: expected "
-                    f"{value.hex()}, found {got.hex() if got else None}"
-                )
-        for key in final:
-            if key not in self.shadow:
-                self.check_failures.append(
-                    f"final state has phantom key {key.hex()}"
-                )
 
 
 def run_serving(
@@ -494,16 +345,19 @@ def run_serving(
     is a pure function of the arguments: same table state + streams +
     parameters + seed ⇒ identical interleaving, queue-depth timeline
     and final table bytes."""
-    if not streams:
-        raise ValueError("need at least one client stream")
-    driver = _ServingDriver(
+    router = Router(
         table,
-        streams,
-        net=net,
+        net,
         batch_max=batch_max,
         batch_wait_ns=batch_wait_ns,
         wakeup_ns=wakeup_ns,
         dispatch_ns=dispatch_ns,
+        metrics=metrics,
+        timeline=timeline,
+    )
+    driver = _ServingDriver(
+        router,
+        streams,
         location_cache=location_cache,
         seed=seed,
         shadow=shadow,

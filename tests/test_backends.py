@@ -19,7 +19,13 @@ from __future__ import annotations
 
 import pytest
 
-from tests.conftest import ALL_SCHEMES, make_table, random_items, small_region
+from tests.conftest import (
+    ALL_SCHEMES,
+    SMALL_CACHE,
+    make_table,
+    random_items,
+    small_region,
+)
 
 from repro import (
     GroupHashTable,
@@ -29,12 +35,14 @@ from repro import (
     ShardedBackend,
     ShardedTable,
     SimBackend,
+    SimConfig,
     SimulatedPowerFailure,
     drop_all_schedule,
     persist_all_schedule,
     random_schedule,
 )
 from repro.bench.runner import RunSpec, run_workload
+from repro.nvm.wearlevel import WearLevelledRegion
 from repro.tables.cell import ItemSpec
 
 
@@ -134,10 +142,14 @@ def test_raw_event_hook_observes_events():
     r = make_raw(1 << 12)
     addr = r.alloc(64, align=64)
     events = []
-    r.event_hook = lambda kind, a, s: events.append(kind)
+
+    def observer(kind, a, s):
+        events.append(kind)
+
+    r.observe(observer)
     r.write(addr, b"a" * 8)
     r.persist(addr, 8)
-    r.event_hook = None
+    r.unobserve(observer)
     r.write(addr, b"b" * 8)  # not observed
     assert events == ["write", "flush", "fence"]
 
@@ -520,11 +532,11 @@ def test_runspec_raw_backend_runs_workload():
 
 
 # ----------------------------------------------------------------------
-# event_hook semantics across backends (observability satellite)
+# observer semantics across backends
 
 
 def record_hook(log, tag=None):
-    """A hook appending (kind, addr, size) (tagged when requested)."""
+    """An observer appending (kind, addr, size) (tagged when requested)."""
 
     def hook(kind, addr, size):
         log.append((tag, kind, addr, size) if tag is not None else (kind, addr, size))
@@ -534,15 +546,15 @@ def record_hook(log, tag=None):
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
 def test_event_hook_sequence_parity_sim_vs_raw(scheme):
-    # The hook is part of the backend contract: the parity workload must
+    # Observers are part of the backend contract: the parity workload must
     # produce the identical (kind, addr, size) sequence, in program
     # order, on the simulator and on the raw fast path.
     sim_region, raw_region = small_region(), make_raw()
     sim_table = make_table(scheme, sim_region)
     raw_table = make_table(scheme, raw_region)
     sim_events, raw_events = [], []
-    sim_region.event_hook = record_hook(sim_events)
-    raw_region.event_hook = record_hook(raw_events)
+    sim_region.observe(record_hook(sim_events))
+    raw_region.observe(record_hook(raw_events))
     drive(sim_table, 100, seed=9)
     drive(raw_table, 100, seed=9)
     assert sim_events, "hook never fired"
@@ -550,13 +562,13 @@ def test_event_hook_sequence_parity_sim_vs_raw(scheme):
 
 
 def test_event_hook_sequence_parity_sharded_sim_vs_raw():
-    # Sharded parity: per-shard hooks observe the same tagged sequence
+    # Sharded parity: per-shard observers see the same tagged sequence
     # whether the shards are simulators or raw backends.
     def build(factory):
         st = ShardedTable(512, n_shards=2, backend_factory=factory, seed=7)
         events = []
         for i in range(st.n_shards):
-            st.backend.shard(i).event_hook = record_hook(events, tag=i)
+            st.backend.shard(i).observe(record_hook(events, tag=i))
         for k, v in random_items(80, seed=21):
             st.insert(k, v)
             st.query(k)
@@ -572,7 +584,7 @@ def test_event_hook_kinds_and_sizes():
     r = make_raw(1 << 12)
     addr = r.alloc(64, align=64)
     events = []
-    r.event_hook = record_hook(events)
+    r.observe(record_hook(events))
     r.write(addr, b"x" * 8)
     r.persist(addr, 8)
     kinds = [e[0] for e in events]
@@ -586,30 +598,107 @@ def test_event_hook_uninstall_restores_raw_fast_path():
     addr = r.alloc(64, align=64)
     assert r._slow is False
     events = []
-    r.event_hook = record_hook(events)
+    observer = record_hook(events)
+    r.observe(observer)
     assert r._slow is True
     r.write_u64(addr, 1)
     assert events
-    r.event_hook = None
+    r.unobserve(observer)
     n = len(events)
     r.write_u64(addr, 2)
     r.persist(addr, 8)
     # no further deliveries, and the slow flag dropped back
     assert len(events) == n
     assert r._slow is False
-    assert r.event_hook is None
+    assert r.observers == ()
 
 
 def test_event_hook_uninstall_stops_deliveries_on_sim():
     region = small_region()
     addr = region.alloc(64, align=64)
     events = []
-    region.event_hook = record_hook(events)
+    observer = record_hook(events)
+    region.observe(observer)
     region.write_u64(addr, 1)
     region.persist(addr, 8)
     n = len(events)
     assert n == 3
-    region.event_hook = None
+    region.unobserve(observer)
     region.write_u64(addr, 2)
     region.persist(addr, 8)
     assert len(events) == n
+
+
+def _tagged(log, tag):
+    def observer(*event):
+        log.append(tag)
+
+    return observer
+
+
+@pytest.mark.parametrize("kind", ["sim", "raw", "wear-levelled", "sharded"])
+def test_observers_run_in_attach_order_and_leave_by_identity(kind):
+    backend = {
+        "sim": lambda: small_region(1 << 16),
+        "raw": lambda: make_raw(1 << 16),
+        "wear-levelled": lambda: WearLevelledRegion(
+            1 << 16, SimConfig(cache=SMALL_CACHE), rotate_every=8
+        ),
+        "sharded": lambda: ShardedBackend(2, lambda i: make_raw(1 << 16)),
+    }[kind]()
+    target = backend.shard(1) if kind == "sharded" else backend
+    addr = target.alloc(64, align=64)
+    log = []
+    a, b, c = (_tagged(log, tag) for tag in "abc")
+    for observer in (a, b, c):
+        backend.observe(observer)
+    target.write_u64(addr, 1)
+    assert log == ["a", "b", "c"]
+    # removal is by identity, not position: the others keep their order
+    backend.unobserve(b)
+    log.clear()
+    target.mfence()
+    assert log == ["a", "c"]
+    backend.unobserve(a)
+    backend.unobserve(c)
+    log.clear()
+    target.mfence()
+    assert log == []
+    with pytest.raises(ValueError):
+        backend.unobserve(a)
+
+
+def test_raw_fast_path_returns_once_the_last_observer_leaves():
+    r = make_raw(1 << 12)
+    log = []
+    first, second = _tagged(log, 1), _tagged(log, 2)
+    r.observe(first)
+    r.observe(second)
+    assert r._slow is True
+    r.unobserve(first)  # out of attach order
+    assert r._slow is True and r.observers == (second,)
+    r.unobserve(second)
+    assert r._slow is False and r._notify is None
+    # an armed crash still keeps the slow path until it is disarmed
+    r.arm_crash(5)
+    r.observe(first)
+    r.unobserve(first)
+    assert r._slow is True
+    r.disarm_crash()
+    assert r._slow is False
+
+
+def test_wear_map_observers_share_the_helper():
+    region = small_region(1 << 16, track_wear=True)
+    addr = region.alloc(64, align=64)
+    lines, other = [], []
+    first, second = lines.append, other.append
+    region.wear.observe(first)
+    region.wear.observe(second)
+    region.write_u64(addr, 7)
+    region.persist(addr, 8)
+    assert lines == other == [addr // region.line_size]
+    region.wear.unobserve(first)
+    region.write_u64(addr, 8)
+    region.persist(addr, 8)
+    assert len(lines) == 1 and len(other) == 2

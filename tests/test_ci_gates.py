@@ -96,13 +96,14 @@ def test_print_failure_context_shows_recorder_rings(capsys):
 # ci_perf_gate end to end
 
 
-def _contention_dump(kops=100.0, p99=500.0, aborts=10) -> dict:
+def _contention_dump(kops=100.0, p99=500.0, aborts=10, digest="d1") -> dict:
     cell = {
         "spec": {"n_clients": 4, "seed": 1},
         "clients": 4,
         "throughput_kops": kops,
         "total": {"p99": p99},
         "read_aborts": aborts,
+        "table_digest": digest,
     }
     return {"contention": {"cells": [cell]}}
 
@@ -190,7 +191,7 @@ def test_perf_gate_gates_on_health_failure(tmp_path, capsys):
     assert "FAIL: timeline health growth.split_spike_ratio" in out
 
 
-def _serving_dump(kops=500.0, wrong=0, one_sided=200) -> dict:
+def _serving_dump(kops=500.0, wrong=0, one_sided=200, digest="d1") -> dict:
     cell = {
         "spec": {
             "n_clients": 64,
@@ -203,6 +204,7 @@ def _serving_dump(kops=500.0, wrong=0, one_sided=200) -> dict:
         "wrong_answers": wrong,
         "shadow_failures": 0,
         "one_sided_reads": one_sided,
+        "table_digest": digest,
     }
     return {"serving": {"cells": [cell]}}
 
@@ -219,6 +221,19 @@ def test_perf_gate_serving_catches_dead_fast_path(tmp_path, capsys):
     # the location-cache path silently never firing must not pass
     assert _run(tmp_path, _serving_dump(one_sided=0), _serving_dump()) == 1
     assert "one_sided_reads" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("dump", [_contention_dump, _serving_dump])
+def test_perf_gate_table_digest_must_match_exactly(tmp_path, capsys, dump):
+    # a lost update can keep every number flat; the final table bytes
+    # cannot hide it
+    assert _run(tmp_path, dump(digest="d1"), dump(digest="d1")) == 0
+    out = capsys.readouterr().out
+    assert "table_digest: d1 vs baseline d1 [exact]" in out
+    assert _run(tmp_path, dump(digest="d2"), dump(digest="d1")) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+    assert len(failed) == 1
+    assert failed[0].endswith("table_digest: d2 vs baseline d1 [exact]")
 
 
 def test_perf_gate_reports_missing_baseline_file(tmp_path, capsys):

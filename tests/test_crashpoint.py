@@ -132,6 +132,26 @@ def test_record_trace_orders_events_and_op_ends():
     assert trace.completed_ops(0) == 0
 
 
+def test_record_trace_keeps_observers_already_attached():
+    # recording adds one observer; any already attached keep observing
+    # the same events during and after the recording
+    spec = CrashMatrixSpec(n_ops=2, total_cells=256)
+    prefill, ops = build_workload(spec)
+    harness = make_harness(spec, prefill)
+    seen = []
+
+    def observer(kind, addr, size):
+        seen.append((kind, addr, size))
+
+    backend = harness.crash_backend
+    backend.observe(observer)
+    trace = record_trace(harness, ops)
+    assert seen == [(e.kind, e.addr, e.size) for e in trace.events]
+    assert backend.observers == (observer,)
+    harness.apply(Op("insert", b"\xee" * 8, b"\x01" * 8))
+    assert len(seen) > trace.n_events
+
+
 # ----------------------------------------------------------------------
 # end-to-end campaigns over correct implementations
 

@@ -166,6 +166,10 @@ def test_segment_depths_are_consistent_with_directory_sharing():
 def test_directory_swing_is_exactly_one_8_byte_persist():
     region, table = build(n_cells=64, segment_cells=16, raw=True)
     events: list[tuple[str, int, int]] = []
+
+    def record(*event):
+        events.append(event)
+
     stream = iter(random_items(400, seed=11))
     # drive until a split that does NOT double: the directory range is
     # then stable across the op and the swing is the only entry write
@@ -175,11 +179,9 @@ def test_directory_swing_is_exactly_one_8_byte_persist():
         splits, doublings = table.splits, table.doublings
         base, n = table._dir_base, 1 << table.global_depth
         events.clear()
-        region.event_hook = lambda kind, addr, size: events.append(
-            (kind, addr, size)
-        )
+        region.observe(record)
         assert table.insert(k, v)
-        region.event_hook = None
+        region.unobserve(record)
         if table.splits > splits and table.doublings == doublings:
             break
     after_entries = table.directory_entries()
@@ -212,14 +214,16 @@ def test_root_swing_on_doubling_is_one_8_byte_persist():
     region, table = build(n_cells=32, segment_cells=16, raw=True)
     root = table._root_word_addr
     events: list[tuple[str, int, int]] = []
+
+    def record(*event):
+        events.append(event)
+
     stream = iter(random_items(400, seed=12))
     while table.doublings == 0:
         k, v = next(stream)
-        region.event_hook = lambda kind, addr, size: events.append(
-            (kind, addr, size)
-        )
+        region.observe(record)
         assert table.insert(k, v)
-        region.event_hook = None
+        region.unobserve(record)
         if table.doublings == 0:
             events.clear()
     root_writes = [
@@ -268,15 +272,14 @@ def test_mid_split_crash_recovers_old_or_new_state():
     old_depth = table.global_depth
     old_entries = table.directory_entries()
     events = 0
-    region.event_hook = lambda *a: None
 
     def count(kind, addr, size):
         nonlocal events
         events += 1
 
-    region.event_hook = count
+    region.observe(count)
     table.insert(key, value)
-    region.event_hook = None
+    region.unobserve(count)
     new_depth = table.global_depth
     new_entries = table.directory_entries()
     assert events > 0

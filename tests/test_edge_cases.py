@@ -165,10 +165,14 @@ def test_wearlevel_rejects_out_of_logical_range():
 def test_event_hook_can_be_removed():
     region = small_region()
     events = []
-    region.event_hook = lambda *a: events.append(a)
+
+    def observer(*event):
+        events.append(event)
+
+    region.observe(observer)
     region.write(0, b"x")
     assert events
-    region.event_hook = None
+    region.unobserve(observer)
     n = len(events)
     region.write(8, b"y")
     assert len(events) == n

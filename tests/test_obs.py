@@ -251,16 +251,19 @@ def test_tracer_chains_and_restores_existing_hook():
     region = small_region()
     addr = region.alloc(64, align=64)
     seen = []
-    region.event_hook = lambda kind, a, s: seen.append(kind)
-    prior = region.event_hook
+
+    def prior(kind, a, s):
+        seen.append(kind)
+
+    region.observe(prior)
     tracer = Tracer(region)
     with tracer.span("s"):
         region.write_u64(addr, 1)
-    # the pre-existing hook still fires while the tracer observes
+    # the pre-existing observer still fires while the tracer observes
     assert seen == ["write"]
     assert tracer.span_summary()["s"]["ev_write"] == 1
     tracer.detach()
-    assert region.event_hook is prior
+    assert region.observers == (prior,)
     region.write_u64(addr, 2)
     assert seen == ["write", "write"]
 
@@ -320,7 +323,7 @@ def test_tracer_attaches_to_every_shard():
     # events from both shards landed in the one span
     assert fill["ev_write"] > 0 and fill["ev_fence"] > 0
     for i in range(st.n_shards):
-        assert st.backend.shard(i).event_hook is None
+        assert st.backend.shard(i).observers == ()
 
 
 # ----------------------------------------------------------------------

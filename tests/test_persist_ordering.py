@@ -26,7 +26,7 @@ class EventRecorder:
 
     def __init__(self, region):
         self.events: list[tuple[str, int, int]] = []
-        region.event_hook = self
+        region.observe(self)
 
     def __call__(self, kind, addr, size):
         self.events.append((kind, addr, size))

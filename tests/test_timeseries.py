@@ -31,6 +31,7 @@ from repro.obs import (
     FlightRecorder,
     HealthReport,
     SloRule,
+    Tracer,
     WindowSampler,
     WindowSeries,
     evaluate,
@@ -258,6 +259,19 @@ def test_timeline_contention_cell_reports_aborts_and_health_inputs():
         run_timeline_spec(TimelineSpec(kind="nonsense"))
 
 
+def test_detaching_the_tracer_keeps_the_sampler_observing():
+    # detaching one observer leaves the ones attached after it in place
+    region = small_region()
+    table = make_table("group", region)
+    tracer = Tracer(region)
+    series = WindowSeries(1_000.0)
+    WindowSampler(series).attach(region)
+    tracer.detach()
+    for key, value in random_items(8, seed=4):
+        assert table.insert(key, value)
+    assert sum(series.counter_values("writes")) > 0
+
+
 # ----------------------------------------------------------------------
 # DESIGN decision 15 pin: observation never moves a simulated event
 
@@ -286,7 +300,7 @@ def test_sampler_and_recorder_are_simulation_invariant(scheme):
             assert table.delete(key)
         if observe:
             sampler.detach()
-            assert region.event_hook is None
+            assert region.observers == ()
         return region.stats.as_dict(), series
 
     bare, _ = drive(False)
