@@ -1,36 +1,18 @@
-"""Single CI regression gate over committed ``bench_*.json`` trajectories.
+"""The one CI gate over ``python -m repro.bench <exp> --json`` reports.
 
-Compares a fresh ``python -m repro.bench <exp> --json`` dump against a
-committed baseline dump, section by section, cell by cell (cells are
-matched by their full frozen-spec dict), metric by metric with
-per-metric tolerances:
+Compares a fresh dump against a committed baseline, section by section
+and cell by cell (cells match on their full frozen-spec dict). Each
+:data:`SECTION_METRICS` entry declares **metrics**, compared with the
+matched baseline cell within a relative tolerance or exactly, and
+**invariants**, checked on every fresh cell with no baseline needed (a
+missing field fails; a failing cell prints its minimal failing event
+prefix and flight-recorder dump). Simulated metrics are deterministic
+and gate hard; wall-clock ``throughput`` lines only warn.
 
-- **throughput** — wall-clock ``fill`` / ``query`` ops/s. CI runner
-  clocks are noisy, so regressions here print ``WARN`` and never gate
-  (this subsumes the retired ``ci_throughput_trend.py``);
-- **contention** — simulated throughput, p99 and abort counts. The
-  scheduler is a pure function of the spec, so these are deterministic:
-  a drift beyond tolerance means the code's behavior moved, and the PR
-  must either fix it or deliberately reseed the baseline. The final
-  ``table_digest`` must match exactly — a lost update that keeps the
-  numbers flat still changes the table's bytes;
-- **timeline** — the derived transient scalars (during-split spike
-  ratio, steady-window p99, abort rate) plus the **health report**: a
-  fresh report whose overall status is ``fail`` fails the gate even if
-  every trajectory matched, and ``warn`` checks are surfaced as
-  warnings;
-- **serving** — the networked serving grid. Simulated throughput and
-  p99 are deterministic like contention; ``wrong_answers`` and
-  ``shadow_failures`` gate at zero tolerance (a stale location hint
-  returning a wrong value is a correctness bug, not a perf drift), and
-  ``one_sided_reads`` gates downward so the location-cache fast path
-  cannot silently stop firing; ``table_digest`` gates exactly, as for
-  contention.
-
-A baseline cell missing from the fresh run fails the gate (a silently
-shrunken grid must not turn it green). Cells that only exist in the
-fresh run are reported and skipped — they gate once the baseline is
-reseeded to include them.
+In every section a baseline cell missing from the fresh run fails (a
+shrunken grid must not turn the gate green), a section-level ``ok``
+flag must be true, and an embedded health report must not ``fail``.
+Committed baselines are stored as their :func:`lean` projection.
 
 Usage::
 
@@ -41,21 +23,58 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
-from gate_common import Gate, cells_by_spec, dig, load_report, report_section
+#: the contention invariant's bound on read aborts per committed op
+MAX_ABORT_RATE = 5.0
+
+
+class Gate:
+    """Prints ``ok:`` / ``WARN:`` / ``FAIL:`` lines; any ``fail`` turns the
+    gate red, ``warn`` lines are counted but never gate, and
+    :meth:`finish` prints ``gate passed:`` only on success."""
+
+    def __init__(self) -> None:
+        self.failed = False
+        self.warnings = 0
+
+    def ok(self, message: str) -> None:
+        """Print one passing check."""
+        print(f"ok: {message}")
+
+    def warn(self, message: str) -> None:
+        """Print one non-gating regression warning."""
+        self.warnings += 1
+        print(f"WARN: {message}")
+
+    def fail(self, message: str) -> None:
+        """Print one failing check and mark the gate failed."""
+        self.failed = True
+        print(f"FAIL: {message}")
+
+    def check(self, passed: bool, message: str) -> None:
+        """Print one check as passing or failing."""
+        (self.ok if passed else self.fail)(message)
+
+    def finish(self, summary: str) -> int:
+        """Print the success summary (if clean) and return 0/1."""
+        if not self.failed:
+            print(f"gate passed: {summary}")
+        return 1 if self.failed else 0
 
 
 @dataclass(frozen=True)
 class Metric:
-    """One per-cell trajectory comparison.
+    """One per-cell comparison against the baseline cell, skipped where
+    the field is absent (a growth timeline cell has no abort rate).
 
     ``worse`` names the regression direction (``"down"``: lower is a
     regression, e.g. throughput; ``"up"``: higher is, e.g. latency;
-    ``"exact"``: any difference is, e.g. a digest);
-    ``tolerance`` is the relative drift allowed in that direction;
-    non-``gating`` metrics warn instead of failing (wall-clock)."""
+    ``"exact"``: any difference is, e.g. a digest); ``tolerance`` is the
+    relative drift allowed that way; non-``gating`` metrics only warn."""
 
     path: str
     worse: str
@@ -63,9 +82,23 @@ class Metric:
     gating: bool = True
 
 
-#: per-section metric policy; a metric absent from a cell (e.g. a growth
-#: timeline cell has no abort rate) is skipped for that cell
-SECTION_METRICS: dict[str, tuple[Metric, ...]] = {
+@dataclass(frozen=True)
+class Invariant:
+    """A property every fresh cell must hold, baseline or not:
+    ``holds`` is called with the values at ``paths``."""
+
+    text: str
+    paths: tuple[str, ...]
+    holds: Callable[..., bool]
+
+
+def equals(path: str, want) -> Invariant:
+    """Invariant: the field at ``path`` equals ``want``."""
+    return Invariant(f"{path} == {want!r}", (path,), lambda value: value == want)
+
+
+#: per-section checks: each Metric against the baseline cell, each Invariant alone
+SECTION_METRICS: dict[str, tuple[Metric | Invariant, ...]] = {
     "throughput": (
         Metric("fill.wall_ops_per_s", "down", 0.2, gating=False),
         Metric("query.wall_ops_per_s", "down", 0.2, gating=False),
@@ -75,6 +108,16 @@ SECTION_METRICS: dict[str, tuple[Metric, ...]] = {
         Metric("total.p99", "up", 0.25),
         Metric("read_aborts", "up", 0.50),
         Metric("table_digest", "exact", 0.0),
+        equals("lost_updates", 0),
+        equals("check_failures", []),
+        equals("failed_ops", 0),
+        Invariant("throughput_kops > 0", ("throughput_kops",), lambda kops: kops > 0),
+        Invariant("total.p99 > 0", ("total.p99",), lambda p99: p99 > 0),
+        Invariant(
+            f"read_aborts / committed <= {MAX_ABORT_RATE}",
+            ("read_aborts", "committed"),
+            lambda aborts, ops: aborts <= MAX_ABORT_RATE * max(1, ops),
+        ),
     ),
     "timeline": (
         Metric("split_spike_ratio", "up", 0.50),
@@ -89,11 +132,88 @@ SECTION_METRICS: dict[str, tuple[Metric, ...]] = {
         Metric("shadow_failures", "up", 0.0),
         Metric("one_sided_reads", "down", 0.25),
         Metric("table_digest", "exact", 0.0),
+        equals("check_failures", []),
+    ),
+    "crashmatrix": (
+        Metric("points", "exact", 0.0),
+        Metric("replays", "exact", 0.0),
+        Metric("splits", "exact", 0.0),
+        Metric("split_points", "exact", 0.0),
+        Metric("concurrent_points", "exact", 0.0),
+        equals("violations", []),
     ),
 }
 
+#: section-level fields the gate reads (kept by :func:`lean`)
+SECTION_FIELDS = ("ok", "health")
 
-def cell_label(spec: dict) -> str:
+
+def load_report(path: str) -> dict:
+    """Load one ``python -m repro.bench ... --json`` dump."""
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def report_section(dump: dict, name: str) -> dict:
+    """One experiment's payload out of a dump, or a clean SystemExit."""
+    try:
+        return dump[name]
+    except KeyError:
+        raise SystemExit(
+            f"FAIL: report has no {name!r} section "
+            f"(found: {sorted(k for k in dump if isinstance(dump[k], dict))})"
+        ) from None
+
+
+def spec_key(spec: dict) -> tuple:
+    """Hashable identity of a cell's frozen spec (sorted field items)."""
+    return tuple(sorted(spec.items()))
+
+
+def cells_by_spec(payload: dict) -> dict[tuple, dict]:
+    """Index an experiment payload's cells by :func:`spec_key`."""
+    return {spec_key(cell["spec"]): cell for cell in payload["cells"]}
+
+
+def dig(mapping: dict, dotted: str, default=None):
+    """Walk a nested dict by a dotted path (``"total.p99"``)."""
+    node = mapping
+    for part in dotted.split("."):
+        if not isinstance(node, dict) or part not in node:
+            return default
+        node = node[part]
+    return node
+
+
+def lean(dump: dict) -> dict:
+    """The committed-baseline form of a dump: each gated section's cells
+    keep their ``spec`` and the paths the section's checks read, and the
+    section keeps its :data:`SECTION_FIELDS`. Idempotent."""
+    projected = {}
+    for name, checks in SECTION_METRICS.items():
+        if name not in dump:
+            continue
+        payload = dump[name]
+        paths = [c.path for c in checks if isinstance(c, Metric)] + [
+            path for c in checks if isinstance(c, Invariant) for path in c.paths
+        ]
+        cells = []
+        for cell in payload["cells"]:
+            kept = {"spec": cell["spec"]}
+            for path in paths:
+                if dig(cell, path) is not None:
+                    *parents, leaf = path.split(".")
+                    node = kept
+                    for part in parents:
+                        node = node.setdefault(part, {})
+                    node[leaf] = dig(cell, path)
+            cells.append(kept)
+        projected[name] = {"cells": cells}
+        projected[name].update((f, payload[f]) for f in SECTION_FIELDS if f in payload)
+    return projected
+
+
+def short_label(spec: dict) -> str:
     """Short human label for a cell's spec in gate log lines."""
     if "kind" in spec:
         label = str(spec["kind"])
@@ -112,12 +232,75 @@ def cell_label(spec: dict) -> str:
     return "/".join(str(v) for _, v in sorted(spec.items()))
 
 
+def cell_labels(specs: list[dict]) -> dict[tuple, str]:
+    """A unique label per spec key: the :func:`short_label`, plus
+    ``field=value`` for each field that varies among the specs sharing
+    it (the crash matrix's plain, sharded, 3-client and grow cells)."""
+    groups: dict[str, list[dict]] = {}
+    for spec in specs:
+        groups.setdefault(short_label(spec), []).append(spec)
+    labels = {}
+    for short, group in groups.items():
+        fields = sorted({field for spec in group for field in spec})
+        varying = [f for f in fields if len({spec.get(f) for spec in group}) > 1]
+        for spec in group:
+            labels[spec_key(spec)] = " ".join(
+                [short] + [f"{field}={spec.get(field)}" for field in varying]
+            )
+    return labels
+
+
+def print_failure_context(context: dict | None, *, indent: str = "  ") -> None:
+    """Pretty-print a cell's flight-recorder dump (the
+    ``failure_context`` payload attached to shadow-oracle and
+    crash-matrix failures): the persist events and per-client op rings
+    leading up to the first failure."""
+    if not context:
+        return
+    head = f"{indent}flight recorder"
+    boundary = context.get("first_failing_boundary")
+    if boundary is not None:
+        head += f" (events before failing boundary {boundary})"
+    print(
+        head + f": {context.get('events_seen', 0)} event(s), "
+        f"{context.get('ops_seen', 0)} op(s) seen"
+    )
+    for event in context.get("events", [])[-20:]:
+        print(f"{indent}  event {event}")
+    for client, ring in sorted(context.get("ops", {}).items()):
+        for op in ring[-5:]:
+            print(f"{indent}  client {client} op {op}")
+
+
+def check_invariants(
+    gate: Gate, where: str, invariants: list[Invariant], cell: dict
+) -> None:
+    """Check one fresh cell's invariants (a missing field fails); on any
+    failure, print its minimal failing event prefix and recorder dump."""
+    failed = False
+    for invariant in invariants:
+        values = [dig(cell, path) for path in invariant.paths]
+        holds = None not in values and invariant.holds(*values)
+        shown = ", ".join(
+            f"{path}={value!r:.200}" for path, value in zip(invariant.paths, values)
+        )
+        gate.check(holds, f"{where} {invariant.text} (got {shown})")
+        failed = failed or not holds
+    if not failed:
+        return
+    prefix = cell.get("min_failing_prefix") or []
+    if prefix:
+        print(f"  minimal failing prefix ({len(prefix)} event(s)):")
+    for event in prefix[-20:]:
+        print(f"    {event}")
+    print_failure_context(cell.get("failure_context"))
+
+
 def compare_cells(
-    gate: Gate, section: str, metrics, base_cell: dict, fresh_cell: dict
+    gate: Gate, where: str, metrics, base_cell: dict, fresh_cell: dict
 ) -> int:
     """Compare every applicable metric of one matched cell pair;
     returns the number of comparisons made."""
-    label = cell_label(fresh_cell["spec"])
     compared = 0
     for metric in metrics:
         was = dig(base_cell, metric.path)
@@ -126,11 +309,9 @@ def compare_cells(
             if was is None:
                 continue
             compared += 1
-            line = f"{section}/{label} {metric.path}: {now} vs baseline {was} [exact]"
-            if now == was:
-                gate.ok(line)
-            else:
-                gate.fail(line)
+            gate.check(
+                now == was, f"{where} {metric.path}: {now} vs baseline {was} [exact]"
+            )
             continue
         if not isinstance(was, (int, float)) or not isinstance(now, (int, float)):
             continue
@@ -149,7 +330,7 @@ def compare_cells(
             )
             shown = f"{now:g} vs baseline {was:g} ({change:+.1%})"
         line = (
-            f"{section}/{label} {metric.path}: {shown}"
+            f"{where} {metric.path}: {shown}"
             f" [tolerance {metric.tolerance:.0%} {metric.worse}]"
         )
         if not regressed:
@@ -177,14 +358,12 @@ def check_health(gate: Gate, section: str, payload: dict) -> None:
             gate.fail(line)
         elif check["status"] == "warn":
             gate.warn(line)
-    if health.get("status") == "fail":
-        gate.fail(f"{section}: health report status is 'fail'")
-    else:
-        gate.ok(f"{section}: health report status is {health.get('status')!r}")
+    status = health.get("status")
+    gate.check(status != "fail", f"{section}: health report status is {status!r}")
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Compare fresh vs baseline trajectories; 0 = gate passes."""
+    """Gate a fresh dump against a baseline dump; 0 = gate passes."""
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("fresh")
     parser.add_argument("--baseline", required=True)
@@ -192,7 +371,6 @@ def main(argv: list[str] | None = None) -> int:
         "--section",
         action="append",
         choices=sorted(SECTION_METRICS),
-        default=None,
         help="gate this section (repeatable; default: every known "
         "section present in both dumps)",
     )
@@ -207,9 +385,7 @@ def main(argv: list[str] | None = None) -> int:
 
     gate = Gate()
     sections = args.section or sorted(
-        name
-        for name in SECTION_METRICS
-        if name in fresh_dump and name in base_dump
+        name for name in SECTION_METRICS if name in fresh_dump and name in base_dump
     )
     if not sections:
         gate.fail("no gateable section present in both fresh and baseline dumps")
@@ -217,28 +393,37 @@ def main(argv: list[str] | None = None) -> int:
 
     cells = comparisons = 0
     for section in sections:
+        checks = SECTION_METRICS[section]
+        metrics = [check for check in checks if isinstance(check, Metric)]
+        invariants = [check for check in checks if isinstance(check, Invariant)]
         fresh_payload = report_section(fresh_dump, section)
         base_payload = report_section(base_dump, section)
         fresh_cells = cells_by_spec(fresh_payload)
         base_cells = cells_by_spec(base_payload)
+        labels = cell_labels(
+            [cell["spec"] for cell in [*base_cells.values(), *fresh_cells.values()]]
+        )
         for key, base_cell in sorted(base_cells.items()):
             fresh_cell = fresh_cells.get(key)
             if fresh_cell is None:
                 gate.fail(
-                    f"{section}: baseline cell {cell_label(base_cell['spec'])} "
-                    "missing from fresh run"
+                    f"{section}: baseline cell {labels[key]} missing from fresh run"
                 )
                 continue
             cells += 1
             comparisons += compare_cells(
-                gate, section, SECTION_METRICS[section], base_cell, fresh_cell
+                gate, f"{section}/{labels[key]}", metrics, base_cell, fresh_cell
             )
-        for key in sorted(set(fresh_cells) - set(base_cells)):
-            print(
-                f"note: {section}: fresh cell "
-                f"{cell_label(fresh_cells[key]['spec'])} not in baseline "
-                "(reseed the baseline to gate it)"
-            )
+        for key, fresh_cell in sorted(fresh_cells.items()):
+            if key not in base_cells:
+                print(
+                    f"note: {section}: fresh cell {labels[key]} not in "
+                    "baseline (reseed the baseline to gate it)"
+                )
+            check_invariants(gate, f"{section}/{labels[key]}", invariants, fresh_cell)
+        if "ok" in base_payload or "ok" in fresh_payload:
+            ok = fresh_payload.get("ok")
+            gate.check(ok is True, f"{section}: section ok flag is {ok!r}")
         check_health(gate, section, fresh_payload)
 
     return gate.finish(

@@ -14,7 +14,8 @@ workers byte-identically — the scheduler is a pure function of the spec,
 and the cell payload carries a SHA-256 digest of the final table bytes
 to prove it. A cell whose lost-update / linearizability shadow check
 fails reports it structurally (``lost_updates`` / ``check_failures``),
-which `scripts/ci_contention_gate.py` turns into a hard CI failure.
+which the invariants of `scripts/ci_perf_gate.py` turn into a hard CI
+failure.
 """
 
 from __future__ import annotations

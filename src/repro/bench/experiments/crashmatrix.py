@@ -49,7 +49,7 @@ from repro.tables.cell import CellCodec, ItemSpec
 #: schemes enumerated at the tiny (``--quick``) scale
 QUICK_SCHEMES: tuple[str, ...] = ("group", "linear-L")
 
-#: schemes enumerated at every larger scale (scheduled full runs)
+#: schemes enumerated at every larger scale (the full campaign CI runs)
 FULL_SCHEMES: tuple[str, ...] = ("group", "linear-L", "pfht-L", "path-L")
 
 

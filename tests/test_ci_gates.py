@@ -1,8 +1,9 @@
-"""Tests for the shared CI-gate plumbing and the perf regression gate.
+"""Tests for the CI report gate (``scripts/ci_perf_gate.py``): its
+plumbing, metric comparisons, per-cell invariants, cell labels and the
+lean committed baselines.
 
-The gate scripts live in ``scripts/`` (not the package), so they are
-loaded by file path here — ``gate_common`` first, so the gates' sibling
-import resolves exactly the way it does when CI runs them as scripts.
+The gate lives in ``scripts/`` (not the package), so it is loaded by
+file path here.
 """
 
 from __future__ import annotations
@@ -14,13 +15,21 @@ from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+
+#: every committed baseline CI gates against, one per gated section
+BASELINES = (
+    "bench_throughput.json",
+    "bench_contention.json",
+    "bench_timeline.json",
+    "bench_serving.json",
+    "bench_crashmatrix.json",
+)
 
 
 def _load(name: str):
-    """Import one gate script by path (registering it for siblings)."""
-    if str(SCRIPTS) not in sys.path:
-        sys.path.insert(0, str(SCRIPTS))
+    """Import one gate script by path."""
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
@@ -28,16 +37,15 @@ def _load(name: str):
     return module
 
 
-gate_common = _load("gate_common")
 ci_perf_gate = _load("ci_perf_gate")
 
 
 # ----------------------------------------------------------------------
-# gate_common plumbing
+# gate plumbing
 
 
 def test_gate_prints_and_tracks_state(capsys):
-    gate = gate_common.Gate()
+    gate = ci_perf_gate.Gate()
     gate.ok("fine")
     gate.warn("slow")
     assert gate.finish("all good") == 0
@@ -46,7 +54,7 @@ def test_gate_prints_and_tracks_state(capsys):
     assert "gate passed: all good" in out
     assert gate.warnings == 1
 
-    gate = gate_common.Gate()
+    gate = ci_perf_gate.Gate()
     gate.fail("broken")
     assert gate.finish("nope") == 1
     out = capsys.readouterr().out
@@ -55,8 +63,8 @@ def test_gate_prints_and_tracks_state(capsys):
 
 def test_report_section_exits_cleanly_on_missing_section():
     with pytest.raises(SystemExit, match="no 'contention' section"):
-        gate_common.report_section({"timeline": {}}, "contention")
-    assert gate_common.report_section({"x": {"cells": []}}, "x") == {"cells": []}
+        ci_perf_gate.report_section({"timeline": {}}, "contention")
+    assert ci_perf_gate.report_section({"x": {"cells": []}}, "x") == {"cells": []}
 
 
 def test_cells_by_spec_keys_on_sorted_items():
@@ -64,20 +72,20 @@ def test_cells_by_spec_keys_on_sorted_items():
         {"spec": {"b": 2, "a": 1}, "v": "first"},
         {"spec": {"a": 9, "b": 2}, "v": "second"},
     ]
-    index = gate_common.cells_by_spec({"cells": cells})
+    index = ci_perf_gate.cells_by_spec({"cells": cells})
     assert index[(("a", 1), ("b", 2))]["v"] == "first"
-    assert gate_common.spec_key({"b": 2, "a": 1}) == (("a", 1), ("b", 2))
+    assert ci_perf_gate.spec_key({"b": 2, "a": 1}) == (("a", 1), ("b", 2))
 
 
 def test_dig_walks_dotted_paths():
     payload = {"total": {"p99": 42.0}}
-    assert gate_common.dig(payload, "total.p99") == 42.0
-    assert gate_common.dig(payload, "total.missing") is None
-    assert gate_common.dig(payload, "total.p99.deeper", default=-1) == -1
+    assert ci_perf_gate.dig(payload, "total.p99") == 42.0
+    assert ci_perf_gate.dig(payload, "total.missing") is None
+    assert ci_perf_gate.dig(payload, "total.p99.deeper", default=-1) == -1
 
 
 def test_print_failure_context_shows_recorder_rings(capsys):
-    gate_common.print_failure_context(None)
+    ci_perf_gate.print_failure_context(None)
     assert capsys.readouterr().out == ""
     context = {
         "first_failing_boundary": 7,
@@ -86,7 +94,7 @@ def test_print_failure_context_shows_recorder_rings(capsys):
         "events": [{"index": 6, "kind": "write"}],
         "ops": {"0": [{"index": 2, "kind": "insert"}]},
     }
-    gate_common.print_failure_context(context)
+    ci_perf_gate.print_failure_context(context)
     out = capsys.readouterr().out
     assert "failing boundary 7" in out
     assert "'kind': 'write'" in out and "client 0 op" in out
@@ -96,14 +104,21 @@ def test_print_failure_context_shows_recorder_rings(capsys):
 # ci_perf_gate end to end
 
 
-def _contention_dump(kops=100.0, p99=500.0, aborts=10, digest="d1") -> dict:
+def _contention_dump(
+    kops=100.0, p99=500.0, aborts=10, digest="d1", **fields
+) -> dict:
     cell = {
         "spec": {"n_clients": 4, "seed": 1},
         "clients": 4,
+        "committed": 200,
+        "failed_ops": 0,
+        "lost_updates": 0,
+        "check_failures": [],
         "throughput_kops": kops,
         "total": {"p99": p99},
         "read_aborts": aborts,
         "table_digest": digest,
+        **fields,
     }
     return {"contention": {"cells": [cell]}}
 
@@ -204,6 +219,7 @@ def _serving_dump(kops=500.0, wrong=0, one_sided=200, digest="d1") -> dict:
         "wrong_answers": wrong,
         "shadow_failures": 0,
         "one_sided_reads": one_sided,
+        "check_failures": [],
         "table_digest": digest,
     }
     return {"serving": {"cells": [cell]}}
@@ -253,12 +269,128 @@ def test_perf_gate_rejects_dumps_with_no_common_section(tmp_path, capsys):
 
 def test_perf_gate_real_baselines_self_compare():
     """The committed baselines gate cleanly against themselves."""
-    root = SCRIPTS.parent
-    for name in (
-        "bench_contention.json",
-        "bench_timeline.json",
-        "bench_serving.json",
-    ):
-        path = root / name
+    for name in BASELINES:
+        path = ROOT / name
         assert path.exists(), f"committed baseline {name} is missing"
         assert ci_perf_gate.main([str(path), "--baseline", str(path)]) == 0
+
+
+# ----------------------------------------------------------------------
+# invariants: checked on every fresh cell, no baseline needed
+
+_RECORDER = {"events_seen": 3, "ops_seen": 1, "events": [], "ops": {}}
+
+
+@pytest.mark.parametrize(
+    "defect, expected",
+    [
+        ({"lost_updates": 1}, "lost_updates == 0 (got lost_updates=1)"),
+        ({"check_failures": [{"key": "0a"}]}, "check_failures == []"),
+        ({"failed_ops": 2}, "failed_ops == 0 (got failed_ops=2)"),
+        ({"read_aborts": 1001}, "read_aborts / committed <= 5.0"),
+    ],
+)
+def test_perf_gate_contention_invariants(tmp_path, capsys, defect, expected):
+    # compared against itself: no metric drifts, only the invariant fails
+    dump = _contention_dump(**defect, failure_context=_RECORDER)
+    assert _run(tmp_path, dump, dump) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL: contention/4 client(s) {expected}" in out
+    assert "flight recorder: 3 event(s), 1 op(s) seen" in out
+
+
+def test_perf_gate_abort_rate_at_the_bound_passes(tmp_path):
+    dump = _contention_dump(aborts=1000)
+    assert _run(tmp_path, dump, dump) == 0
+
+
+def test_perf_gate_invariant_field_missing_fails(tmp_path, capsys):
+    dump = _contention_dump()
+    del dump["contention"]["cells"][0]["lost_updates"]
+    assert _run(tmp_path, dump, dump) == 1
+    assert "lost_updates == 0 (got lost_updates=None)" in capsys.readouterr().out
+
+
+def test_perf_gate_section_ok_must_be_true(tmp_path, capsys):
+    base, fresh = _contention_dump(), _contention_dump()
+    base["contention"]["ok"] = True
+    fresh["contention"]["ok"] = False
+    assert _run(tmp_path, fresh, base) == 1
+    assert "FAIL: contention: section ok flag is False" in capsys.readouterr().out
+    del fresh["contention"]["ok"]
+    assert _run(tmp_path, fresh, base) == 1
+
+
+def _crash_cell(**fields) -> dict:
+    return {
+        "spec": {"scheme": "group", "backend": "raw", "batch": 0, "clients": 0},
+        "points": 250,
+        "replays": 400,
+        "splits": 0,
+        "split_points": 0,
+        "concurrent_points": 0,
+        "violations": [],
+        "min_failing_prefix": None,
+        **fields,
+    }
+
+
+def test_perf_gate_crashmatrix_violation_prints_prefix(tmp_path, capsys):
+    base = {"crashmatrix": {"cells": [_crash_cell()], "ok": True}}
+    broken = _crash_cell(
+        violations=[{"oracle": "atomicity", "boundary": 7}],
+        min_failing_prefix=[["write", 64, 8], ["fence", 0, 0]],
+        failure_context=dict(_RECORDER, first_failing_boundary=7),
+    )
+    fresh = {"crashmatrix": {"cells": [broken], "ok": False}}
+    assert _run(tmp_path, fresh, base) == 1
+    out = capsys.readouterr().out
+    assert "FAIL: crashmatrix/group/raw b0 violations == []" in out
+    assert "'oracle': 'atomicity'" in out
+    assert "minimal failing prefix (2 event(s)):" in out
+    assert "['write', 64, 8]" in out
+    assert "failing boundary 7" in out
+
+
+# ----------------------------------------------------------------------
+# cell labels and lean baselines
+
+
+def test_cell_labels_name_colliding_cells_by_their_varying_fields():
+    plain = {"scheme": "group", "backend": "raw", "batch": 0, "clients": 0}
+    clients = dict(plain, clients=3)
+    labels = ci_perf_gate.cell_labels([plain, clients])
+    assert sorted(labels.values()) == [
+        "group/raw b0 clients=0",
+        "group/raw b0 clients=3",
+    ]
+
+
+@pytest.mark.parametrize("name", BASELINES)
+def test_cell_labels_unique_in_committed_baselines(name):
+    dump = json.loads((ROOT / name).read_text())
+    for payload in dump.values():
+        labels = ci_perf_gate.cell_labels([cell["spec"] for cell in payload["cells"]])
+        assert len(set(labels.values())) == len(labels) == len(payload["cells"])
+
+
+def test_committed_baselines_are_lean():
+    paths = sorted(ROOT.glob("bench_*.json"))
+    assert sorted(path.name for path in paths) == sorted(BASELINES)
+    for path in paths:
+        dump = json.loads(path.read_text())
+        assert dump == ci_perf_gate.lean(dump), f"{path.name} is not lean"
+    assert sum(path.stat().st_size for path in paths) < 100_000
+
+
+def test_lean_keeps_only_what_the_gate_reads(tmp_path):
+    full = _contention_dump(per_client=[{"ops": 50}] * 4, metrics={"x": 1})
+    full["contention"].update(ok=True, client_counts=[4])
+    full["scale"] = "tiny"
+    base = ci_perf_gate.lean(full)
+    assert set(base) == {"contention"}
+    assert set(base["contention"]) == {"cells", "ok"}
+    cell = base["contention"]["cells"][0]
+    assert "per_client" not in cell and "metrics" not in cell
+    assert cell["total"] == {"p99": 500.0} and cell["committed"] == 200
+    assert _run(tmp_path, full, base) == 0

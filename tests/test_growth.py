@@ -124,38 +124,11 @@ def test_grow_cell_lands_crash_points_mid_split():
     assert cell["violations"] == []
 
 
-def _run_gate(tmp_path: Path, cells: list[dict], **totals) -> tuple[int, str]:
-    report = {
-        "crashmatrix": {
-            "cells": cells,
-            "total_points": totals.get("points", 500),
-            "total_replays": totals.get("replays", 800),
-            "total_violations": 0,
-        }
-    }
-    path = tmp_path / "report.json"
-    path.write_text(json.dumps(report))
-    proc = subprocess.run(
-        [
-            sys.executable,
-            str(Path(__file__).resolve().parent.parent / "scripts"
-                / "ci_crashmatrix_gate.py"),
-            str(path),
-            "--min-points", "100",
-            "--min-schemes", "1",
-        ],
-        capture_output=True,
-        text=True,
-    )
-    return proc.returncode, proc.stdout
-
-
-def _cell(scheme="group", splits=0, split_points=0, batch=0, clients=0,
-          concurrent_points=0):
+def _cell(splits=0, split_points=0, batch=0, clients=0, concurrent_points=0):
     return {
         "spec": {
-            "scheme": scheme, "backend": "raw", "n_shards": 0,
-            "batch": batch, "clients": clients,
+            "scheme": "group", "backend": "raw", "n_shards": 0,
+            "batch": batch, "clients": clients, "grow": splits > 0,
         },
         "points": 250,
         "replays": 400,
@@ -167,43 +140,62 @@ def _cell(scheme="group", splits=0, split_points=0, batch=0, clients=0,
     }
 
 
-def test_gate_requires_a_split_in_progress_cell(tmp_path):
-    code, out = _run_gate(
-        tmp_path, [_cell(batch=4, clients=3, concurrent_points=40)]
+#: the baseline the ported gate tests compare against: one batched, one
+#: multi-client and one grow cell, the coverage the crash matrix must keep
+BASELINE_CELLS = [
+    _cell(batch=4),
+    _cell(clients=3, concurrent_points=40),
+    _cell(splits=3, split_points=12),
+]
+
+
+def _run_gate(tmp_path: Path, cells: list[dict]) -> tuple[int, str]:
+    """Gate a crash-matrix report against :data:`BASELINE_CELLS` the way
+    CI does: ``ci_perf_gate.py --section crashmatrix`` as a subprocess."""
+    paths = []
+    for name, payload in (("report", cells), ("baseline", BASELINE_CELLS)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"crashmatrix": {"cells": payload, "ok": True}}))
+        paths.append(str(path))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            str(Path(__file__).resolve().parent.parent / "scripts" / "ci_perf_gate.py"),
+            paths[0],
+            "--baseline", paths[1],
+            "--section", "crashmatrix",
+        ],
+        capture_output=True,
+        text=True,
     )
+    return proc.returncode, proc.stdout
+
+
+def test_gate_requires_a_split_in_progress_cell(tmp_path):
+    code, out = _run_gate(tmp_path, BASELINE_CELLS[:2] + [_cell(splits=3)])
     assert code == 1
-    assert "no split-in-progress cell" in out
+    assert "FAIL: crashmatrix/group/raw b0 clients=0 grow=True" in out
+    assert "split_points: 0 vs baseline 12 [exact]" in out
 
 
 def test_gate_requires_batch_coverage(tmp_path):
-    code, out = _run_gate(
-        tmp_path,
-        [
-            _cell(clients=3, concurrent_points=40),
-            _cell(splits=3, split_points=12),
-        ],
-    )
+    code, out = _run_gate(tmp_path, BASELINE_CELLS[1:])
     assert code == 1
-    assert "batched-insert" in out
+    assert "FAIL: crashmatrix: baseline cell group/raw b4 missing from fresh run" in out
 
 
 def test_gate_requires_concurrent_coverage(tmp_path):
-    code, out = _run_gate(
-        tmp_path, [_cell(batch=4), _cell(splits=3, split_points=12)]
-    )
+    code, out = _run_gate(tmp_path, [BASELINE_CELLS[0], BASELINE_CELLS[2]])
     assert code == 1
-    assert "in-flight" in out
+    assert (
+        "FAIL: crashmatrix: baseline cell group/raw b0 clients=3 grow=False "
+        "missing from fresh run"
+    ) in out
 
 
 def test_gate_passes_with_split_coverage(tmp_path):
-    code, out = _run_gate(
-        tmp_path,
-        [
-            _cell(batch=4, clients=3, concurrent_points=40),
-            _cell(splits=3, split_points=12),
-        ],
-    )
+    code, out = _run_gate(tmp_path, BASELINE_CELLS)
     assert code == 0
-    assert "12 mid-split points" in out
-    assert "250 batch points" in out
-    assert "40 concurrent points" in out
+    assert "ok: crashmatrix/group/raw b0 clients=0 grow=True split_points: 12" in out
+    assert "ok: crashmatrix/group/raw b4 points: 250" in out
+    assert "concurrent_points: 40 vs baseline 40 [exact]" in out
