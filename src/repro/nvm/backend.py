@@ -136,6 +136,14 @@ class MemoryBackend(Protocol):
         ...
 
     # -- bulk probes ---------------------------------------------------
+    #
+    # Each probe's contract is the *event sequence* of a loop of scalar
+    # loads, named per method below: which lines are touched, in which
+    # order, and what each touch costs. A backend may compute the answer
+    # any way it likes as long as it reports that sequence. NVMRegion
+    # charges it line by line (one cache lookup per line entered, every
+    # further touch of that line a hit); its subclasses, which may remap
+    # addresses, run the loop itself.
 
     def scan_clear_u64(
         self, addr: int, stride: int, count: int, mask: int = 1
@@ -143,9 +151,8 @@ class MemoryBackend(Protocol):
         """Index of the first of ``count`` header words (at ``addr``,
         ``addr+stride``, ...) with ``(word & mask) == 0``, or None.
 
-        Event semantics are *defined* as one :meth:`read_u64` per probed
-        word, stopping at the first clear one — backends may accelerate
-        the loop but must report the identical access sequence."""
+        Contract: the events of one :meth:`read_u64` per probed word,
+        stopping at the first clear one."""
         ...
 
     def scan_match(
@@ -162,7 +169,7 @@ class MemoryBackend(Protocol):
         has a ``mask`` bit set and whose bytes at ``key_offset`` equal
         ``key``, or None.
 
-        Event semantics are one ``read(cell, key_offset + len(key))``
+        Contract: the events of one ``read(cell, key_offset + len(key))``
         per probed cell (header and key travel in one load), stopping at
         the match — the contiguous-probe read pattern of the paper's
         level-2 scan. ``mask`` must fit in the header's low byte."""
@@ -174,14 +181,15 @@ class MemoryBackend(Protocol):
         """Bitmap of the ``mask`` bit over ``count`` strided header
         words (bit ``i`` set iff ``word(addr + i*stride) & mask``).
 
-        Event semantics: one :meth:`read_u64` per word, full scan (no
-        early exit) — the group-filter batch planners use to learn a
-        whole level-2 group's occupancy in one call."""
+        Contract: the events of one :meth:`read_u64` per word, full
+        scan (no early exit) — the group-filter batch planners use to
+        learn a whole level-2 group's occupancy in one call."""
         ...
 
     def scan_occupied_at(self, addrs, mask: int = 1) -> int:
         """Gather variant of :meth:`scan_occupied_bitmap` over explicit
-        addresses; one :meth:`read_u64` per address, full scan."""
+        addresses; contract: the events of one :meth:`read_u64` per
+        address, full scan."""
         ...
 
     def scan_match_many(
@@ -196,8 +204,8 @@ class MemoryBackend(Protocol):
     ) -> list[int | None]:
         """Multi-key :meth:`scan_match` over one strided window.
 
-        Event semantics: the concatenation of the per-key
-        :meth:`scan_match` sequences, in key order."""
+        Contract: the concatenation of the per-key :meth:`scan_match`
+        event sequences, in key order."""
         ...
 
     def scan_probe(
@@ -213,29 +221,31 @@ class MemoryBackend(Protocol):
         """First strided cell that is empty or stores ``key``:
         ``(index, matched)``, or None — the linear-probing lookup.
 
-        Event semantics: one ``read`` of header+key per probed cell,
-        stopping at the empty-or-match cell."""
+        Contract: the events of one ``read`` of header+key per probed
+        cell, stopping at the empty-or-match cell."""
         ...
 
     def scan_clear_at(self, addrs, mask: int = 1) -> int | None:
-        """Gather variant of :meth:`scan_clear_u64`; one
-        :meth:`read_u64` per probed address, stopping at the first
-        clear word."""
+        """Gather variant of :meth:`scan_clear_u64`; contract: the
+        events of one :meth:`read_u64` per probed address, stopping at
+        the first clear word."""
         ...
 
     def scan_match_at(
         self, addrs, key: bytes, *, mask: int = 1, key_offset: int = 8
     ) -> int | None:
-        """Gather variant of :meth:`scan_match`; one ``read`` of
-        header+key per probed address, stopping at the match."""
+        """Gather variant of :meth:`scan_match`; contract: the events
+        of one ``read`` of header+key per probed address, stopping at
+        the match."""
         ...
 
     def scan_match_pairs(
         self, pairs, *, mask: int = 1, key_offset: int = 8
     ) -> list[bool]:
         """Independent occupied-and-stores-key tests over ``(addr,
-        key)`` pairs; one ``read`` of header+key per pair, full scan —
-        the batched level-1 home-cell probe."""
+        key)`` pairs; contract: the events of one ``read`` of
+        header+key per pair, full scan — the batched level-1 home-cell
+        probe."""
         ...
 
     # -- persistence primitives ----------------------------------------
@@ -461,7 +471,8 @@ class RawBackend(Observable):
         first = addr // line
         last = (addr + size - 1) // line
         if first == last:
-            self._dirty.add(first)
+            if size:  # a zero-size store dirties no line
+                self._dirty.add(first)
         else:
             self._dirty.update(range(first, last + 1))
         stats = self.stats

@@ -70,6 +70,68 @@ def image_diff(volatile: bytearray, persistent: bytearray) -> list[tuple[int, in
     return [(start, stop - start) for start, stop in runs]
 
 
+#: per byte mask, the ``bytes.translate`` table sending a header byte
+#: to b"1" when it has a mask bit and to b"0" when not
+_BIT_TABLES: dict[int, bytes] = {}
+
+
+def _occupied_bitmap(vol: bytearray, cells, mask: int) -> int:
+    """Bit ``i`` set iff the little-endian header word at the ``i``-th
+    address of ``cells`` (a range or a list) has a ``mask`` bit. A byte
+    mask reads one byte per cell, a strided window as one slice."""
+    if not 0 <= mask <= 0xFF:
+        unpack = _U64.unpack_from
+        return sum(
+            1 << i for i, addr in enumerate(cells) if unpack(vol, addr)[0] & mask
+        )
+    table = _BIT_TABLES.get(mask)
+    if table is None:
+        table = _BIT_TABLES[mask] = bytes(
+            49 if byte & mask else 48 for byte in range(256)
+        )
+    if type(cells) is range:
+        headers = vol[cells.start : cells.stop : cells.step]
+    else:
+        headers = bytes(map(vol.__getitem__, cells))
+    return int(headers.translate(table)[::-1], 2)
+
+
+def _first_clear(vol: bytearray, cells, mask: int) -> int:
+    """Index of the first address of ``cells`` whose header word has no
+    ``mask`` bit, or -1. Reads cell by cell, so an early exit costs only
+    what it probed (a linear-probing window is the table's whole tail)."""
+    if 0 <= mask <= 0xFF:
+        for i, addr in enumerate(cells):
+            if not vol[addr] & mask:
+                return i
+        return -1
+    unpack = _U64.unpack_from
+    for i, addr in enumerate(cells):
+        if not unpack(vol, addr)[0] & mask:
+            return i
+    return -1
+
+
+def _first_key(
+    vol: bytearray, cells: range, key: bytes, key_offset: int, mask: int
+) -> int:
+    """Index of the first of the strided, non-empty ``cells`` whose
+    header byte 0 has a ``mask`` bit and that stores ``key`` at
+    ``key_offset``, or -1. ``bytearray.find`` stops at the first
+    occurrence, so a hit costs about what it probed; occurrences off a
+    cell's key field are skipped."""
+    stride = cells.step
+    start = cells.start + key_offset
+    stop = cells[-1] + key_offset + len(key)
+    pos = vol.find(key, start, stop)
+    while pos >= 0:
+        i, off = divmod(pos - start, stride)
+        if not off and vol[pos - key_offset] & mask:
+            return i
+        pos = vol.find(key, pos + 1, stop)
+    return -1
+
+
 class SimulatedPowerFailure(RuntimeError):
     """Raised mid-operation when an armed crash point trips.
 
@@ -264,7 +326,8 @@ class NVMRegion(Observable):
 
     def _touch(self, addr: int, size: int, is_write: bool) -> None:
         """Run the touched line range through the cache simulator and
-        charge hit/fill costs."""
+        charge hit/fill costs. ``size`` must be positive: a zero-size
+        access touches no line, so callers skip the call."""
         line_size = self._line
         first = addr // line_size
         last = (addr + size - 1) // line_size
@@ -369,7 +432,8 @@ class NVMRegion(Observable):
         """Load ``size`` bytes from the volatile view."""
         if addr < 0 or size < 0 or addr + size > self.size:
             self._check_range(addr, size)
-        self._touch(addr, size, False)
+        if size:
+            self._touch(addr, size, False)
         stats = self.stats
         stats.reads += 1
         stats.bytes_read += size
@@ -384,7 +448,8 @@ class NVMRegion(Observable):
             self._crash_tick()
         if self._notify is not None:
             self._notify("write", addr, size)
-        self._touch(addr, size, True)
+        if size:
+            self._touch(addr, size, True)
         stats = self.stats
         stats.writes += 1
         stats.bytes_written += size
@@ -429,7 +494,108 @@ class NVMRegion(Observable):
         self.write_u64(addr, value)
 
     # ------------------------------------------------------------------
-    # bulk probes (reference event semantics for every backend)
+    # bulk probes
+    #
+    # A probe's contract is the event sequence of its per-word loop (the
+    # code at the end of each method): the lines touched, in order, and
+    # what each touch costs. The base class decodes the answer from the
+    # volatile view and charges that same sequence line by line through
+    # :meth:`_charge_reads`; subclasses (which may remap addresses, like
+    # wear leveling) and windows with a cell outside the region run the
+    # loop itself, so error behaviour is the loop's.
+
+    def _window(self, addr: int, stride: int, count: int, size: int) -> range | None:
+        """Addresses of the ``count`` strided cells when the base class
+        decodes them in place, else None (the loop runs)."""
+        if (
+            self.__class__ is NVMRegion
+            and count > 0
+            and stride > 0
+            and size > 0
+            and addr >= 0
+            and addr + (count - 1) * stride + size <= self.size
+        ):
+            return range(addr, addr + count * stride, stride)
+        return None
+
+    def _gathered(self, addrs: list, size: int) -> bool:
+        """Whether the base class decodes a gather over ``addrs`` in place
+        (else the loop runs)."""
+        return (
+            self.__class__ is NVMRegion
+            and size > 0
+            and bool(addrs)
+            and min(addrs) >= 0
+            and max(addrs) + size <= self.size
+        )
+
+    def _charge_reads(self, cells, size: int) -> None:
+        """Charge one ``read(a, size)`` (``size > 0``) per address ``a`` of
+        ``cells``, in order — every event of that loop of reads, without
+        its per-word calls.
+
+        :meth:`CacheSim.access` runs once per line entered; a repeat
+        touch of the line charged last is a hit on a resident MRU line,
+        as in :meth:`_touch`. ``sim_time_ns`` gets one add per touch in
+        the loop's order, so it is bit-identical for any latency model;
+        dirty victims are written back in the same order, and
+        ``_prev_line``/``_fast_line`` end as the loop leaves them. The
+        counters live in locals written back once at the end; the clock
+        is also published before a dirty writeback, whose wear observers
+        may read it."""
+        stats = self.stats
+        access = self.cache.access
+        latency = self._latency
+        hit_ns = latency.cache_hit_ns
+        line_size = self._line
+        span = size - 1
+        fast = self._fast_line
+        prev = self._prev_line
+        sim = stats.sim_time_ns
+        hits = misses = prefetched = evictions = 0
+        for addr in cells:
+            line = addr // line_size
+            last = (addr + span) // line_size
+            if line == fast:
+                hits += 1
+                sim += hit_ns
+                if line == last:
+                    continue
+                line += 1
+            while True:
+                hit, evicted = access(line, is_write=False)
+                if hit:
+                    hits += 1
+                    sim += hit_ns
+                elif line == prev + 1:
+                    prefetched += 1
+                    sim += latency.prefetch_hit_ns
+                else:
+                    misses += 1
+                    sim += latency.line_fill_ns
+                prev = line
+                if evicted is not None:
+                    evictions += 1
+                    if evicted[1]:
+                        stats.sim_time_ns = sim
+                        self._writeback(evicted[0])
+                        sim += latency.eviction_writeback_ns
+                if line == last:
+                    break
+                line += 1
+            fast = last
+        self._prev_line = prev
+        self._fast_line = fast
+        n = len(cells)
+        stats.reads += n
+        stats.bytes_read += n * size
+        stats.cache_hits += hits
+        if misses or prefetched:  # fills, and the evictions they caused
+            stats.cache_misses += misses
+            stats.prefetched_fills += prefetched
+            stats.nvm_line_reads += misses + prefetched
+            stats.evictions += evictions
+        stats.sim_time_ns = sim
 
     def scan_clear_u64(
         self, addr: int, stride: int, count: int, mask: int = 1
@@ -437,10 +603,14 @@ class NVMRegion(Observable):
         """Index of the first of ``count`` strided header words with
         ``(word & mask) == 0``, or None.
 
-        This loop of :meth:`read_u64` calls *is* the contract: the cache
-        behaviour, latency and event counts of a bulk probe are exactly
-        those of probing each word in turn and stopping at the first
-        clear one. Fast backends reimplement the loop natively."""
+        The contract is the event sequence of the loop below: one
+        :meth:`read_u64` per word, stopping at the first clear one.
+        Fast backends reimplement the loop natively."""
+        cells = self._window(addr, stride, count, 8)
+        if cells is not None:
+            i = _first_clear(self._volatile, cells, mask)
+            self._charge_reads(cells if i < 0 else cells[: i + 1], 8)
+            return None if i < 0 else i
         read_u64 = self.read_u64
         for i in range(count):
             if not read_u64(addr) & mask:
@@ -461,11 +631,16 @@ class NVMRegion(Observable):
         """Index of the first of ``count`` strided cells that is occupied
         (header byte 0 & ``mask``) and stores ``key`` at ``key_offset``.
 
-        Reference semantics: one ``read`` of header+key per probed cell
-        (a single simulated load — they travel together), stopping at
-        the match. This is the access pattern of the paper's contiguous
-        level-2 group scan."""
+        The contract is the event sequence of the loop below: one
+        ``read`` of header+key per probed cell (a single simulated load
+        — they travel together), stopping at the match. This is the
+        access pattern of the paper's contiguous level-2 group scan."""
         size = key_offset + len(key)
+        cells = self._window(addr, stride, count, size) if key_offset >= 0 else None
+        if cells is not None:
+            i = _first_key(self._volatile, cells, key, key_offset, mask)
+            self._charge_reads(cells if i < 0 else cells[: i + 1], size)
+            return None if i < 0 else i
         for i in range(count):
             raw = self.read(addr, size)
             if raw[0] & mask and raw[key_offset:] == key:
@@ -479,9 +654,14 @@ class NVMRegion(Observable):
         """Bitmap of the ``mask`` bit over ``count`` strided header words:
         bit ``i`` of the result is set iff ``word(addr + i*stride) & mask``.
 
-        Reference semantics: one :meth:`read_u64` per header word — a
-        *full* scan with no early exit, which is what batch planners need
-        (they want the whole group's occupancy in one call)."""
+        The contract is the event sequence of the loop below: one
+        :meth:`read_u64` per header word — a *full* scan with no early
+        exit, which is what batch planners need (they want the whole
+        group's occupancy in one call)."""
+        cells = self._window(addr, stride, count, 8)
+        if cells is not None:
+            self._charge_reads(cells, 8)
+            return _occupied_bitmap(self._volatile, cells, mask)
         read_u64 = self.read_u64
         bitmap = 0
         for i in range(count):
@@ -494,7 +674,12 @@ class NVMRegion(Observable):
         """Gather variant of :meth:`scan_occupied_bitmap`: bit ``i`` of
         the result reflects the header word at ``addrs[i]``.
 
-        Reference semantics: one :meth:`read_u64` per address, full scan."""
+        The contract is the loop below: one :meth:`read_u64` per
+        address, full scan."""
+        addrs = list(addrs)
+        if self._gathered(addrs, 8):
+            self._charge_reads(addrs, 8)
+            return _occupied_bitmap(self._volatile, addrs, mask)
         read_u64 = self.read_u64
         bitmap = 0
         for i, addr in enumerate(addrs):
@@ -515,8 +700,23 @@ class NVMRegion(Observable):
         """Multi-key :meth:`scan_match` over one strided window: for each
         key in ``keys``, the index of its first matching cell (or None).
 
-        Reference semantics are the concatenation of the per-key
-        :meth:`scan_match` event sequences, in key order."""
+        The contract is the concatenation of the per-key
+        :meth:`scan_match` event sequences, in key order; the base class
+        checks the window against the region once for all keys."""
+        keys = list(keys)
+        cells = None
+        if keys and key_offset >= 0:
+            size = key_offset + max(map(len, keys))
+            cells = self._window(addr, stride, count, size)
+        if cells is not None:
+            vol = self._volatile
+            out: list[int | None] = []
+            for key in keys:
+                i = _first_key(vol, cells, key, key_offset, mask)
+                size = key_offset + len(key)
+                self._charge_reads(cells if i < 0 else cells[: i + 1], size)
+                out.append(None if i < 0 else i)
+            return out
         return [
             self.scan_match(
                 addr, stride, count, key, mask=mask, key_offset=key_offset
@@ -539,9 +739,24 @@ class NVMRegion(Observable):
         ``(index, matched)``, or None when every cell is occupied by
         other keys. The linear-probing lookup pattern.
 
-        Reference semantics: one ``read`` of header+key per probed cell,
-        stopping at the empty-or-match cell."""
+        The contract is the event sequence of the loop below: one
+        ``read`` of header+key per probed cell, stopping at the
+        empty-or-match cell."""
         size = key_offset + len(key)
+        cells = self._window(addr, stride, count, size) if key_offset >= 0 else None
+        if cells is not None:
+            # cell by cell: a probe mostly stops within a few cells, often
+            # at a match in the middle of a cluster
+            vol = self._volatile
+            for i, addr in enumerate(cells):
+                if not vol[addr] & mask:
+                    self._charge_reads(cells[: i + 1], size)
+                    return i, False
+                if vol[addr + key_offset : addr + size] == key:
+                    self._charge_reads(cells[: i + 1], size)
+                    return i, True
+            self._charge_reads(cells, size)
+            return None
         for i in range(count):
             raw = self.read(addr, size)
             if not raw[0] & mask:
@@ -555,9 +770,15 @@ class NVMRegion(Observable):
         """Gather variant of :meth:`scan_clear_u64`: index of the first
         address in ``addrs`` whose header word has no ``mask`` bit.
 
-        Reference semantics: one :meth:`read_u64` per probed address,
-        stopping at the first clear one — the path-hashing insert probe,
-        whose candidate cells live in separate per-level arrays."""
+        The contract is the loop below: one :meth:`read_u64` per probed
+        address, stopping at the first clear one — the path-hashing
+        insert probe, whose candidate cells live in separate per-level
+        arrays."""
+        addrs = list(addrs)
+        if self._gathered(addrs, 8):
+            i = _first_clear(self._volatile, addrs, mask)
+            self._charge_reads(addrs if i < 0 else addrs[: i + 1], 8)
+            return None if i < 0 else i
         read_u64 = self.read_u64
         for i, addr in enumerate(addrs):
             if not read_u64(addr) & mask:
@@ -570,9 +791,22 @@ class NVMRegion(Observable):
         """Gather variant of :meth:`scan_match`: index of the first
         address in ``addrs`` holding an occupied cell that stores ``key``.
 
-        Reference semantics: one ``read`` of header+key per probed
-        address, stopping at the match."""
+        The contract is the loop below: one ``read`` of header+key per
+        probed address, stopping at the match."""
+        addrs = list(addrs)
         size = key_offset + len(key)
+        if key_offset >= 0 and self._gathered(addrs, size):
+            vol = self._volatile
+            found = next(
+                (
+                    i
+                    for i, addr in enumerate(addrs)
+                    if vol[addr] & mask and vol[addr + key_offset : addr + size] == key
+                ),
+                None,
+            )
+            self._charge_reads(addrs if found is None else addrs[: found + 1], size)
+            return found
         for i, addr in enumerate(addrs):
             raw = self.read(addr, size)
             if raw[0] & mask and raw[key_offset:] == key:
@@ -586,9 +820,23 @@ class NVMRegion(Observable):
         pairs; element ``i`` of the result is True iff the cell at
         ``pairs[i][0]`` is occupied and stores ``pairs[i][1]``.
 
-        Reference semantics: one ``read`` of header+key per pair (a full
-        scan — every pair is tested). This is the batched level-1 probe:
-        one call filters a whole batch's home cells."""
+        The contract is the loop below: one ``read`` of header+key per
+        pair (a full scan — every pair is tested). This is the batched
+        level-1 probe: one call filters a whole batch's home cells. The
+        base class decodes in place when every key has one length."""
+        pairs = list(pairs)
+        key_sizes = {len(key) for _, key in pairs}
+        if len(key_sizes) == 1 and key_offset >= 0:
+            size = key_offset + key_sizes.pop()
+            addrs = [addr for addr, _ in pairs]
+            if self._gathered(addrs, size):
+                vol = self._volatile
+                self._charge_reads(addrs, size)
+                return [
+                    bool(vol[addr] & mask)
+                    and vol[addr + key_offset : addr + size] == key
+                    for addr, key in pairs
+                ]
         out: list[bool] = []
         for addr, key in pairs:
             raw = self.read(addr, key_offset + len(key))

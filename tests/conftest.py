@@ -6,6 +6,12 @@ import os
 import random
 
 import pytest
+from hypothesis import settings
+
+# A deep budget for property tests that leave max_examples to the
+# profile (the scan-primitive oracle): ``--hypothesis-profile=ci-deep``.
+# The default profile stays as it is for tier-1.
+settings.register_profile("ci-deep", max_examples=1000)
 
 # Tests must be hermetic: never serve experiment results from (or write
 # them to) an on-disk bench cache. Set before anything can construct the

@@ -103,6 +103,19 @@ def test_raw_dirty_tracking_and_persist():
     assert r.unpersisted_ranges() == []
 
 
+def test_raw_zero_size_write_dirties_no_line():
+    """A zero-size store counts as a write but dirties no line, at a
+    line-aligned address or not — as on the simulator."""
+    raw, sim = make_raw(1 << 12), NVMRegion(1 << 12)
+    for backend in (raw, sim):
+        backend.write(64, b"")
+        backend.write(100, b"")
+        assert backend.stats.writes == 2
+        assert backend.stats.bytes_written == 0
+    assert raw._dirty == set()
+    assert list(sim.cache.dirty_lines()) == []
+
+
 def test_raw_crash_drops_unflushed_words():
     r = make_raw(1 << 12)
     addr = r.alloc(64, align=64)

@@ -223,3 +223,31 @@ def test_stats_byte_accounting():
     assert r.stats.bytes_read == 4
     assert r.stats.writes == 1
     assert r.stats.reads == 1
+
+
+def test_zero_size_access_touches_no_line():
+    """A zero-size read or write is counted but touches, dirties and
+    charges no line, aligned or not — and leaves the fast-line marker on
+    the line really touched last (an aligned zero-size read once moved it
+    to the line before, and the next touch of that line raised KeyError)."""
+    r = region()
+    r.read(200, 8)
+    before = r.stats.snapshot()
+    r.read(64, 0)
+    r.read(70, 0)
+    r.write(128, b"")
+    r.write(131, b"")
+    delta = r.stats.delta(before)
+    assert (delta.reads, delta.writes, delta.bytes_read, delta.bytes_written) == (
+        2,
+        2,
+        0,
+        0,
+    )
+    assert delta.sim_time_ns == 0
+    assert delta.cache_hits + delta.cache_misses + delta.prefetched_fills == 0
+    assert r._fast_line == 200 // 64
+    assert not r.cache.contains(1) and not r.cache.contains(2)
+    assert list(r.cache.dirty_lines()) == []
+    r.read(0, 8)
+    assert r.stats.cache_misses == 2

@@ -15,10 +15,15 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tests.conftest import small_region
 
-from repro import RawBackend
+from repro import CacheConfig, NVMRegion, RawBackend, SimConfig
+from repro.nvm.cache import CacheSim
+from repro.nvm.latency import PAPER_NVM, LatencyModel
+from repro.nvm.wearlevel import WearLevelledRegion
 
 STRIDE = 32
 COUNT = 40
@@ -264,3 +269,253 @@ def test_no_numpy_env_flag(monkeypatch):
     # unset (not just falsy) also enables the fast path
     monkeypatch.setenv("REPRO_NO_NUMPY", "")
     assert RawBackend(1 << 16)._np is not None
+
+
+# ----------------------------------------------------------------------
+# line-granular charging oracle: NVMRegion's fused scans against the
+# per-word loops, which a trivial subclass runs
+
+
+class _Ref(NVMRegion):
+    """Runs every scan's per-word loop (the fused path is base-class only)."""
+
+
+ORACLE_REGION = 4096
+
+#: non-integer costs, so any reordering of the float adds would show
+ODD_LATENCY = LatencyModel(
+    name="odd",
+    cache_hit_ns=1.1,
+    line_fill_ns=97.3,
+    prefetch_hit_ns=7.7,
+    flush_base_ns=41.9,
+    nvm_write_extra_ns=299.7,
+    fence_ns=3.3,
+    eviction_writeback_ns=2.9,
+)
+
+PRIMITIVES = (
+    "scan_clear_u64",
+    "scan_match",
+    "scan_occupied_bitmap",
+    "scan_match_many",
+    "scan_probe",
+    "scan_occupied_at",
+    "scan_clear_at",
+    "scan_match_at",
+    "scan_match_pairs",
+)
+
+
+def _oracle_state(region):
+    """Everything a scan may change: counters, each cache set's LRU order
+    and dirty flags, the prefetcher and fast-line markers, both images,
+    and wear counts."""
+    return (
+        region.stats.as_dict(),
+        [list(bucket.items()) for bucket in region.cache._sets],
+        region._prev_line,
+        region._fast_line,
+        bytes(region._persistent),
+        bytes(region._volatile),
+        None if region.wear is None else region.wear.counts().tolist(),
+    )
+
+
+def _oracle_pair(data):
+    line = data.draw(st.sampled_from([32, 64, 128]), label="line")
+    ways = data.draw(st.sampled_from([1, 2, 4]), label="ways")
+    sets = data.draw(st.sampled_from([1, 2, 8]), label="sets")
+    config = SimConfig(
+        latency=data.draw(st.sampled_from([PAPER_NVM, ODD_LATENCY])),
+        cache=CacheConfig(
+            size_bytes=line * ways * sets, line_size=line, associativity=ways
+        ),
+        flush_invalidates=data.draw(st.booleans(), label="flush_invalidates"),
+        track_wear=data.draw(st.booleans(), label="track_wear"),
+    )
+    return NVMRegion(ORACLE_REGION, config), _Ref(ORACLE_REGION, config)
+
+
+def _both(regions, method, *args):
+    for region in regions:
+        getattr(region, method)(*args)
+
+
+def _churn(rng, regions):
+    """Random writes (zero-size ones included), reads and flushes,
+    including a clflush of the current fast line."""
+    for _ in range(rng.randrange(13)):
+        kind = rng.choice(["write", "read", "flush", "flush_fast"])
+        addr = rng.randrange(ORACLE_REGION - 16)
+        if kind == "write":
+            _both(regions, "write", addr, rng.randbytes(rng.randrange(17)))
+        elif kind == "read":
+            _both(regions, "read", addr, rng.randrange(17))
+        elif kind == "flush":
+            _both(regions, "clflush", addr)
+        elif regions[0]._fast_line >= 0:
+            _both(regions, "clflush", regions[0]._fast_line * regions[0].line_size)
+
+
+def _plant(rng, regions, cells, keys):
+    """Headers with random occupancy and junk above byte 0, and keys
+    drawn from ``keys``, at every in-region cell of ``cells``."""
+    key_size = len(keys[0])
+    for addr in cells:
+        if addr + 8 + key_size <= ORACLE_REGION:
+            header = rng.choice([0, 1, 0x100, 0x101, 1 << 40, 3])
+            cell = header.to_bytes(8, "little") + rng.choice(keys)
+            _both(regions, "write", addr, cell)
+
+
+def _scan_args(data, rng, name, keys):
+    """Cells to plant, and the arguments of one ``name`` call over a
+    drawn window or gather (gathers may repeat and descend). A window
+    may end within a byte of the region's end, and the match-many and
+    pairs scans may mix key lengths."""
+    key = data.draw(st.sampled_from(keys + [b"\xee" * len(keys[0])]), label="key")
+    mask = data.draw(st.sampled_from([1, 3, 0x80, 0x100, 0x101, 1 << 40, -1]))
+    stride = data.draw(st.sampled_from([4, 8, 12, 16, 24, 40, 72, 136]), label="stride")
+    count = data.draw(st.integers(0, 24), label="count")
+    access = 8 if name.startswith(("scan_clear", "scan_occupied")) else 8 + len(key)
+    edge = ORACLE_REGION - access - max(count - 1, 0) * stride
+    addr = data.draw(
+        st.integers(0, ORACLE_REGION // 4 - 2).map(lambda a: a * 4)
+        | st.sampled_from([edge - 1, edge, edge + 1]).filter(lambda a: a >= 0),
+        label="addr",
+    )
+    window = [addr + i * stride for i in range(count)]
+    match = {"mask": mask, "key_offset": 8}
+    mixed = keys + [keys[0] + b"\x00"] * rng.randrange(2)
+    if name.endswith(("_at", "_pairs")):
+        pool = window + [rng.randrange(ORACLE_REGION + 8) for _ in range(3)]
+        pool += [ORACLE_REGION - access - 1, ORACLE_REGION - access + 1]
+        gather = [rng.choice(pool) for _ in range(rng.randrange(25))]
+        if name in ("scan_occupied_at", "scan_clear_at"):
+            return window, (gather, mask), {}
+        if name == "scan_match_at":
+            return window, (gather, key), match
+        return window, ([(a, rng.choice(mixed)) for a in gather],), match
+    if name in ("scan_clear_u64", "scan_occupied_bitmap"):
+        return window, (addr, stride, count, mask), {}
+    if name == "scan_match_many":
+        many = [rng.choice(mixed + [key]) for _ in range(rng.randrange(6))]
+        return window, (addr, stride, count, many), match
+    return window, (addr, stride, count, key), match
+
+
+def _outcome(region, name, args, kwargs):
+    """Result or IndexError of one scan, which must neither tick an armed
+    crash countdown nor notify an observer, plus the clock each dirty
+    eviction's wear observer read."""
+    seen = []
+    wear_log = []
+    region.arm_crash(1)
+    def observer(*event):
+        seen.append(event)
+
+    region.observe(observer)
+    if region.wear is not None:
+        region.wear.observe(
+            lambda line: wear_log.append((line, region.stats.sim_time_ns))
+        )
+    try:
+        outcome = ("ok", getattr(region, name)(*args, **kwargs))
+    except IndexError as exc:
+        outcome = ("IndexError", str(exc))
+    assert region._crash_countdown == 1 and seen == []
+    region.disarm_crash()
+    region.unobserve(observer)
+    if region.wear is not None:
+        region.wear.unobserve(region.wear.observers[0])
+    return outcome, wear_log
+
+
+@pytest.mark.parametrize("name", PRIMITIVES)
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fused_scan_matches_per_word_loop(name, data):
+    """Each fused primitive leaves exactly the state the per-word loop
+    leaves: result (or IndexError), every counter, LRU order and dirty
+    flags, prefetcher/fast-line markers, images and wear."""
+    fused, ref = regions = _oracle_pair(data)
+    key_size = data.draw(st.sampled_from([8, 12]), label="key_size")
+    keys = [
+        bytes([i + 1]) * key_size for i in range(data.draw(st.integers(1, 3)))
+    ]
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    for _ in range(data.draw(st.integers(1, 3), label="rounds")):
+        window, args, kwargs = _scan_args(data, rng, name, keys)
+        _plant(rng, regions, window, keys)
+        _churn(rng, regions)
+        assert _oracle_state(fused) == _oracle_state(ref)
+        assert _outcome(fused, name, args, kwargs) == _outcome(ref, name, args, kwargs)
+        assert _oracle_state(fused) == _oracle_state(ref)
+
+
+def test_fused_scan_out_of_range_raises_like_loop():
+    """A window running past the region raises IndexError after charging
+    the in-range prefix, exactly as the loop does."""
+    regions = NVMRegion(ORACLE_REGION), _Ref(ORACLE_REGION)
+    for region in regions:
+        region.write_u64(ORACLE_REGION - 48, 1)
+        with pytest.raises(IndexError):
+            region.scan_occupied_bitmap(ORACLE_REGION - 48, 24, 3)
+        with pytest.raises(IndexError):
+            region.scan_occupied_at([0, ORACLE_REGION - 4])
+    assert _oracle_state(regions[0]) == _oracle_state(regions[1])
+    assert regions[0].stats.reads == 3
+
+
+def test_cold_group_scan_charges_one_access_per_line(monkeypatch):
+    """A cold scan of 256 cells of 24 B runs CacheSim.access once per
+    line (96), never per word; a WearLevelledRegion still runs the
+    per-word loop and charges what it always has."""
+    calls = {"access": 0, "touch_mru": 0}
+    access, touch_mru = CacheSim.access, CacheSim.touch_mru
+
+    def counted_access(self, line, *, is_write):
+        calls["access"] += 1
+        return access(self, line, is_write=is_write)
+
+    def counted_touch_mru(self, line, is_write):
+        calls["touch_mru"] += 1
+        return touch_mru(self, line, is_write)
+
+    monkeypatch.setattr(CacheSim, "access", counted_access)
+    monkeypatch.setattr(CacheSim, "touch_mru", counted_touch_mru)
+    region = NVMRegion(1 << 16)
+    assert region.scan_occupied_bitmap(0, 24, 256) == 0
+    assert calls == {"access": 96, "touch_mru": 0}
+    assert region.stats.reads == 256
+    assert region.stats.nvm_line_reads == 96
+    assert region.stats.cache_hits == 160
+    monkeypatch.undo()
+
+    cfg = SimConfig(cache=CacheConfig(size_bytes=4096, line_size=64, associativity=4))
+    levelled = WearLevelledRegion(1 << 14, cfg, rotate_every=16)
+    for i in range(256):
+        levelled.write_u64(24 * i, (i << 8) | (1 if i % 3 else 0))
+    levelled.persist(0, 24 * 256)
+    bitmap = levelled.scan_occupied_bitmap(0, 24, 256)
+    assert bitmap == sum(1 << i for i in range(256) if i % 3)
+    # exactly what the per-word loop charged before scans were fused
+    assert levelled.stats.as_dict() == {
+        "reads": 272,
+        "writes": 289,
+        "bytes_read": 3072,
+        "bytes_written": 3208,
+        "cache_hits": 335,
+        "cache_misses": 49,
+        "prefetched_fills": 177,
+        "evictions": 70,
+        "writebacks": 129,
+        "flushes": 129,
+        "dirty_flushes": 92,
+        "fences": 34,
+        "nvm_line_writes": 129,
+        "nvm_bytes_written": 8256,
+        "nvm_line_reads": 226,
+        "sim_time_ns": 41445.0,
+    }
