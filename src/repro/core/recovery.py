@@ -15,7 +15,13 @@ Two deviations from the literal pseudocode, both noted in DESIGN.md:
   times (Table 3) — their implementation must skip clean cells too.
 - the scan is driven through the same costed region API as normal
   operations, so Table 3's recovery-time measurements come out of the
-  simulator's clock.
+  simulator's clock. It is one ``scan_torn`` call per stretch between
+  torn cells, charged as one ``read`` of header + key + value per cell
+  in the per-cell loop's order. The simulator decodes the stretch from
+  its volatile view and charges it line by line: one cache lookup per
+  line entered and a hit for every further cell on that line. Reads,
+  resets, flushes and fences therefore happen exactly as in the
+  per-cell loop.
 """
 
 from __future__ import annotations
@@ -49,32 +55,37 @@ def recover_table(table: "PersistentHashTable") -> int:
 def recover_group_table(table: "GroupHashTable") -> int:
     """Run Algorithm 4 on ``table``; returns the recovered item count."""
     codec, region, layout = table.codec, table.region, table.layout
-    spec = table.spec
-    zero_kv = bytes(spec.item_size)
+    # one load covers header + key + value, so the scan charges the
+    # events of one read per cell: consecutive cells share cachelines and
+    # the scan runs at ~one miss per line — the linearity Table 3 shows
+    size = HEADER_SIZE + table.spec.item_size
+    stride = codec.cell_size
     tr, mx = table.tracer, table.metrics
     if tr is not None:
         tr.push("recover")
     count = 0
-    scanned = 0
     reset = 0
     for level_base_addr in (layout.tab1_base, layout.tab2_base):
-        for i in range(layout.n_cells_level):
-            addr = codec.addr(level_base_addr, i)
-            # One load covers header + key + value: the scan is
-            # sequential, so consecutive cells share cachelines and the
-            # scan runs at ~one miss per line — the linearity Table 3
-            # shows.
-            raw = region.read(addr, HEADER_SIZE + spec.item_size)
-            scanned += 1
-            if raw[0] & OCCUPIED_BIT:
-                count += 1
-            elif raw[HEADER_SIZE:] != zero_kv:
-                codec.clear_kv(region, addr)
-                region.persist(*codec.kv_span(addr))
-                reset += 1
+        start = 0
+        while start < layout.n_cells_level:
+            torn, occupied = region.scan_torn(
+                codec.addr(level_base_addr, start),
+                stride,
+                layout.n_cells_level - start,
+                size,
+                OCCUPIED_BIT,
+            )
+            count += occupied
+            if torn is None:
+                break
+            addr = codec.addr(level_base_addr, start + torn)
+            codec.clear_kv(region, addr)
+            region.persist(*codec.kv_span(addr))
+            reset += 1
+            start += torn + 1
     table._set_count(count)
     if mx is not None:
-        mx.counter("recovery.cells_scanned").inc(scanned)
+        mx.counter("recovery.cells_scanned").inc(2 * layout.n_cells_level)
         mx.counter("recovery.cells_reset").inc(reset)
         mx.counter("recovery.runs").inc()
     if tr is not None:

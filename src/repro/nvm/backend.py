@@ -48,6 +48,8 @@ from repro.nvm.memory import (
     NVMRegion,
     SimulatedPowerFailure,
     _U64,
+    _occupied_bitmap,
+    _scan_torn_loop,
     image_diff,
 )
 from repro.nvm.observe import Observable
@@ -246,6 +248,19 @@ class MemoryBackend(Protocol):
         key)`` pairs; contract: the events of one ``read`` of
         header+key per pair, full scan — the batched level-1 home-cell
         probe."""
+        ...
+
+    def scan_torn(
+        self, addr: int, stride: int, count: int, size: int, mask: int = 1
+    ) -> tuple[int | None, int]:
+        """``(index, occupied)``: the first of ``count`` strided cells
+        whose header byte 0 has no ``mask`` bit while its bytes
+        ``[8, size)`` are non-zero (None if none), and the number of
+        cells before it whose header byte 0 has a ``mask`` bit.
+
+        Contract: the events of one ``read(cell, size)`` per probed
+        cell, stopping at the torn cell — Algorithm 4's recovery scan,
+        which resets that cell and resumes after it."""
         ...
 
     # -- persistence primitives ----------------------------------------
@@ -706,18 +721,9 @@ class RawBackend(Observable):
             return int.from_bytes(
                 np.packbits(bits, bitorder="little").tobytes(), "little"
             )
-        volatile = self._volatile
-        bitmap = 0
-        if mask < 256:
-            for i, addr in enumerate(addrs):
-                if volatile[addr] & mask:
-                    bitmap |= 1 << i
-            return bitmap
-        unpack = _U64.unpack_from
-        for i, addr in enumerate(addrs):
-            if unpack(volatile, addr)[0] & mask:
-                bitmap |= 1 << i
-        return bitmap
+        # linear in ``n`` (a whole table's cells, for the generic
+        # recover), where OR-ing in ``1 << i`` per cell is quadratic
+        return _occupied_bitmap(self._volatile, addrs, mask)
 
     def scan_match_many(
         self,
@@ -899,6 +905,14 @@ class RawBackend(Observable):
         stats.reads += n
         stats.bytes_read += total_bytes
         return out
+
+    def scan_torn(
+        self, addr: int, stride: int, count: int, size: int, mask: int = 1
+    ) -> tuple[int | None, int]:
+        """First strided cell with no ``mask`` bit and a non-zero payload,
+        and the occupied cells before it (Algorithm 4's scan), as the
+        reference loop: one :meth:`read` per cell up to the torn one."""
+        return _scan_torn_loop(self, addr, stride, count, size, mask)
 
     # ------------------------------------------------------------------
     # persistence primitives

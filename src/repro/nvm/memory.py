@@ -81,9 +81,8 @@ def _occupied_bitmap(vol: bytearray, cells, mask: int) -> int:
     mask reads one byte per cell, a strided window as one slice."""
     if not 0 <= mask <= 0xFF:
         unpack = _U64.unpack_from
-        return sum(
-            1 << i for i, addr in enumerate(cells) if unpack(vol, addr)[0] & mask
-        )
+        digits = bytes(49 if unpack(vol, addr)[0] & mask else 48 for addr in cells)
+        return int(digits[::-1], 2)
     table = _BIT_TABLES.get(mask)
     if table is None:
         table = _BIT_TABLES[mask] = bytes(
@@ -110,6 +109,58 @@ def _first_clear(vol: bytearray, cells, mask: int) -> int:
         if not unpack(vol, addr)[0] & mask:
             return i
     return -1
+
+
+#: per byte mask, the ``bytes.translate`` table sending a header byte
+#: to 0xFF when it has no mask bit (a free cell) and to 0 when it has one
+_FREE_TABLES: dict[int, bytes] = {}
+
+
+def _first_torn(vol: bytearray, cells: range, size: int, mask: int) -> tuple[int, int]:
+    """``(i, occupied)`` for the strided ``cells`` read ``size`` bytes
+    each: ``i`` is the index of the first cell whose header byte 0 has
+    no ``mask`` bit while its bytes ``[8, size)`` are non-zero (-1 if
+    none), and ``occupied`` counts the cells before it (all of them if
+    none) whose header byte 0 has one.
+
+    Each column of the window — one byte offset of every cell — is one
+    strided slice read as a little-endian integer, so byte ``i`` of an
+    integer belongs to cell ``i``: the payload columns OR-ed together
+    and masked with the free cells' 0xFF bytes leave the torn cells."""
+    mask &= 0xFF
+    table = _FREE_TABLES.get(mask)
+    if table is None:
+        table = _FREE_TABLES[mask] = bytes(
+            0 if byte & mask else 0xFF for byte in range(256)
+        )
+    start, step = cells.start, cells.step
+    last = cells[-1] + 1
+    free = vol[start:last:step].translate(table)
+    payload = 0
+    for off in range(8, size):
+        payload |= int.from_bytes(vol[start + off : last + off : step], "little")
+    torn = payload & int.from_bytes(free, "little")
+    if not torn:
+        return -1, len(free) - free.count(0xFF)
+    i = ((torn & -torn).bit_length() - 1) >> 3
+    return i, i - free.count(0xFF, 0, i)
+
+
+def _scan_torn_loop(
+    region, addr: int, stride: int, count: int, size: int, mask: int
+) -> tuple[int | None, int]:
+    """``scan_torn`` as its per-cell loop of ``region.read(cell, size)``:
+    the contract, the path of subclasses and out-of-range windows, and
+    :class:`~repro.nvm.backend.RawBackend`'s implementation."""
+    occupied = 0
+    for i in range(count):
+        raw = region.read(addr, size)
+        if raw[0] & mask:
+            occupied += 1
+        elif any(raw[8:]):
+            return i, occupied
+        addr += stride
+    return None, occupied
 
 
 def _first_key(
@@ -334,8 +385,10 @@ class NVMRegion(Observable):
         stats = self.stats
         latency = self._latency
         if first == last:
-            # single-line access — the overwhelmingly common case (cells
-            # never straddle lines), kept free of the range loop
+            # single-line access — the common case (a header word, or a
+            # cell that fits its line; 24-byte cells do straddle: cell 2
+            # of a 64-aligned array spans bytes 48–71), kept free of the
+            # range loop
             if first == self._fast_line:
                 # repeat of the line touched last: still resident and in
                 # MRU position (nothing else was accessed since), so
@@ -681,11 +734,11 @@ class NVMRegion(Observable):
             self._charge_reads(addrs, 8)
             return _occupied_bitmap(self._volatile, addrs, mask)
         read_u64 = self.read_u64
-        bitmap = 0
-        for i, addr in enumerate(addrs):
-            if read_u64(addr) & mask:
-                bitmap |= 1 << i
-        return bitmap
+        # one b"0"/b"1" digit per address, read as one integer: linear in
+        # the address count (a whole table's cells, for the generic
+        # recover), where OR-ing in ``1 << i`` per cell is quadratic
+        digits = bytes(49 if read_u64(addr) & mask else 48 for addr in addrs)
+        return int(digits[::-1], 2) if digits else 0
 
     def scan_match_many(
         self,
@@ -842,6 +895,25 @@ class NVMRegion(Observable):
             raw = self.read(addr, key_offset + len(key))
             out.append(bool(raw[0] & mask) and raw[key_offset:] == key)
         return out
+
+    def scan_torn(
+        self, addr: int, stride: int, count: int, size: int, mask: int = 1
+    ) -> tuple[int | None, int]:
+        """``(index, occupied)``: the first of ``count`` strided cells
+        whose header byte 0 has no ``mask`` bit while its bytes
+        ``[8, size)`` are non-zero (None if there is none), and how many
+        cells before it have a ``mask`` bit — Algorithm 4's scan up to
+        the next cell it must reset.
+
+        The contract is the event sequence of :func:`_scan_torn_loop`:
+        one ``read(cell, size)`` per probed cell, stopping at the torn
+        cell."""
+        cells = self._window(addr, stride, count, size)
+        if cells is not None:
+            i, occupied = _first_torn(self._volatile, cells, size, mask)
+            self._charge_reads(cells if i < 0 else cells[: i + 1], size)
+            return None if i < 0 else i, occupied
+        return _scan_torn_loop(self, addr, stride, count, size, mask)
 
     # ------------------------------------------------------------------
     # persistence primitives

@@ -363,15 +363,12 @@ class PersistentHashTable(abc.ABC):
             tr.push("recover")
         if self.log is not None:
             self.log.recover()
-        occupied = 0
-        scanned = 0
-        for addr in self._iter_cell_addrs():
-            scanned += 1
-            if self.codec.is_occupied(self.region, addr):
-                occupied += 1
-        self._set_count(occupied)
+        # one gather charges a read_u64 per header, in cell order
+        addrs = list(self._iter_cell_addrs())
+        bitmap = self.region.scan_occupied_at(addrs, OCCUPIED_BIT)
+        self._set_count(bitmap.bit_count())
         if mx is not None:
-            mx.counter("recovery.cells_scanned").inc(scanned)
+            mx.counter("recovery.cells_scanned").inc(len(addrs))
             mx.counter("recovery.runs").inc()
         if tr is not None:
             tr.pop()

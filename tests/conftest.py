@@ -9,7 +9,8 @@ import pytest
 from hypothesis import settings
 
 # A deep budget for property tests that leave max_examples to the
-# profile (the scan-primitive oracle): ``--hypothesis-profile=ci-deep``.
+# profile (the scan-primitive and recovery oracles):
+# ``--hypothesis-profile=ci-deep``.
 # The default profile stays as it is for tier-1.
 settings.register_profile("ci-deep", max_examples=1000)
 
@@ -33,9 +34,30 @@ from repro import (  # noqa: E402  (the cache env var must be set first)
     TwoChoiceTable,
     UndoLog,
 )
+from repro.nvm.cache import CacheSim  # noqa: E402
 
 #: small cache so tests exercise evictions and misses
 SMALL_CACHE = CacheConfig(size_bytes=16 * 1024, line_size=64, associativity=4)
+
+
+def count_cache_calls(monkeypatch) -> dict[str, int]:
+    """From now until ``monkeypatch.undo()``, count the calls of
+    ``CacheSim.access`` and ``CacheSim.touch_mru`` into the returned
+    dict."""
+    calls = {"access": 0, "touch_mru": 0}
+    access, touch_mru = CacheSim.access, CacheSim.touch_mru
+
+    def counted_access(self, line, *, is_write):
+        calls["access"] += 1
+        return access(self, line, is_write=is_write)
+
+    def counted_touch_mru(self, line, is_write):
+        calls["touch_mru"] += 1
+        return touch_mru(self, line, is_write)
+
+    monkeypatch.setattr(CacheSim, "access", counted_access)
+    monkeypatch.setattr(CacheSim, "touch_mru", counted_touch_mru)
+    return calls
 
 
 def small_region(size: int = 4 << 20, **kw) -> NVMRegion:

@@ -1,12 +1,25 @@
 """Tests for Algorithm 4 — group hashing's crash recovery."""
 
+import random
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from tests.conftest import random_items, small_region
+from tests.conftest import count_cache_calls, random_items, small_region
+from tests.test_scan_primitives import _Ref
 
-from repro import GroupHashTable, recover_group_table
+from repro import (
+    CacheConfig,
+    GroupHashTable,
+    NVMRegion,
+    SimConfig,
+    random_schedule,
+    recover_group_table,
+)
 from repro.nvm import SimulatedPowerFailure, persist_all_schedule
 from repro.nvm.crash import FunctionSchedule
+from repro.obs import MetricsRegistry
 
 
 def build(n_cells=512, group_size=32, seed=1):
@@ -164,3 +177,95 @@ def test_recovery_after_clean_crash_touches_nothing():
     table.recover()
     # only the count rewrite
     assert region.stats.writes - writes_before <= 1
+
+
+# ----------------------------------------------------------------------
+# the fused recovery scan against the per-cell loop
+
+
+def _crashed_table(region_cls, rng, flush_invalidates, crash_at, torn):
+    """A 128-cell table on ``region_cls`` after a random op mix, a crash
+    armed ``crash_at`` events into further ops, a random crash schedule,
+    and non-zero key-value bytes written into the ``torn`` free cells."""
+    config = SimConfig(
+        cache=CacheConfig(size_bytes=1024, line_size=64, associativity=2),
+        flush_invalidates=flush_invalidates,
+    )
+    region = region_cls(1 << 16, config)
+    table = GroupHashTable(region, 128, group_size=16, seed=1)
+    metrics = MetricsRegistry()
+    table.instrument(metrics=metrics)
+    live: list[bytes] = []
+    region.arm_crash(crash_at)
+    try:
+        for _ in range(200):
+            if live and rng.random() < 0.3:
+                table.delete(live.pop(rng.randrange(len(live))))
+            elif table.insert(key := rng.randbytes(8), rng.randbytes(8)):
+                live.append(key)
+    except SimulatedPowerFailure:
+        pass
+    region.disarm_crash()
+    region.crash(random_schedule(rng.randrange(1 << 30)))
+    table.reattach()
+    cells = list(table._iter_cell_addrs())
+    for i in torn:
+        addr = cells[i % len(cells)]
+        if not region.peek_volatile(addr, 1)[0] & 1:
+            region.write(addr + 8 + rng.randrange(16), b"\x5a")
+    return region, table, metrics
+
+
+def _state(region, table, metrics):
+    return (
+        table.count,
+        region.stats.as_dict(),
+        [list(bucket.items()) for bucket in region.cache._sets],
+        region._prev_line,
+        region._fast_line,
+        bytes(region._persistent),
+        bytes(region._volatile),
+        metrics.as_dict(),
+    )
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    flush_invalidates=st.booleans(),
+    crash_at=st.integers(1, 400),
+    torn=st.lists(st.sampled_from([0, 1, 2, 63, 64, 127, 5, 70]), max_size=5),
+)
+def test_fused_recovery_matches_per_cell_loop(seed, flush_invalidates, crash_at, torn):
+    """Under random op mixes, crash points and schedules, with torn cells
+    at level starts and ends, Algorithm 4 on NVMRegion (fused scans)
+    and on a region running the per-cell loops leaves the same count,
+    counters, cache sets, markers, both images and recovery metrics."""
+    states = []
+    for region_cls in (NVMRegion, _Ref):
+        region, table, metrics = _crashed_table(
+            region_cls, random.Random(seed), flush_invalidates, crash_at, torn
+        )
+        recover_group_table(table)
+        assert table.check_count()
+        assert table.integrity_violations() == []
+        states.append(_state(region, table, metrics))
+    assert states[0] == states[1]
+
+
+def test_cold_recovery_charges_one_access_per_line(monkeypatch):
+    """A cold recovery of 4096 24-byte cells (two 64-aligned levels of
+    768 lines each) runs CacheSim.access about once per line and never
+    touch_mru; the per-cell loop ran one cache call per cell."""
+    region = NVMRegion(1 << 20)
+    table = GroupHashTable(region, 4096, group_size=32)
+    for k, v in random_items(1000, seed=7):
+        table.insert(k, v)
+    region.crash()
+    table.reattach()
+    calls = count_cache_calls(monkeypatch)
+    reads = region.stats.reads
+    assert table.recover() is None and table.count == 1000
+    assert region.stats.reads - reads == 4096
+    assert calls["touch_mru"] == 0
+    assert 2 * 768 <= calls["access"] <= 2 * 768 + 2

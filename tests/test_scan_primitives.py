@@ -18,10 +18,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tests.conftest import small_region
+from tests.conftest import SMALL_CACHE, count_cache_calls, small_region
 
 from repro import CacheConfig, NVMRegion, RawBackend, SimConfig
-from repro.nvm.cache import CacheSim
 from repro.nvm.latency import PAPER_NVM, LatencyModel
 from repro.nvm.wearlevel import WearLevelledRegion
 
@@ -258,6 +257,49 @@ def test_fuzz_parity(monkeypatch, key_size):
         _assert_parity(
             backends, lambda b: b.scan_match_many(base, stride, n, many)
         )
+        for size in (8 + key_size, stride):
+            _assert_parity(backends, lambda b: b.scan_torn(base, stride, n, size))
+
+
+def test_scan_torn_parity(monkeypatch):
+    backends = _backends(monkeypatch)
+    # free cells 9 and 30 get a payload: torn; every other free cell is zero
+    for _, b in backends:
+        b.write(BASE + 9 * STRIDE + KEY_OFFSET, key_of(9))
+        b.write(BASE + 30 * STRIDE + STRIDE - 1, b"\x01")
+    size = KEY_OFFSET + KEY_SIZE
+    rest = BASE + 10 * STRIDE
+    cases = [
+        ((BASE, STRIDE, COUNT, size), (9, 6)),
+        # the byte past the key is outside a header+key read, inside a cell
+        ((rest, STRIDE, COUNT - 10, size), (None, 20)),
+        ((rest, STRIDE, COUNT - 10, STRIDE), (20, 14)),
+        # mask bit 1 is clear in every header: all cells free, cell 1 torn
+        ((BASE, STRIDE, COUNT, size, 2), (1, 0)),
+        ((BASE, STRIDE, 0, size), (None, 0)),
+    ]
+    for args, expected in cases:
+        assert _assert_parity(backends, lambda b: b.scan_torn(*args)) == expected
+
+
+@pytest.mark.parametrize("mask", [1, 1 << 40])
+def test_whole_region_gather_parity(monkeypatch, mask):
+    """A gather over every header word of 1 MiB (2^17 addresses, the
+    scale of the generic recover on a large table) gives one bitmap and
+    one read count on every path: numpy, the pure RawBackend, the
+    simulator's decoder and a subclass's per-word loop. The last two
+    build their bitmap from one digit string, linear in the address
+    count."""
+    backends = _backends(monkeypatch)
+    backends.append(("loop", _Ref(4 << 20, SimConfig(cache=SMALL_CACHE))))
+    image = random.Random(17).randbytes(1 << 20)
+    for _, b in backends:
+        b.write(0, image)
+    addrs = list(range(0, 1 << 20, 8))
+    bitmap = _assert_parity(backends, lambda b: b.scan_occupied_at(addrs, mask))
+    assert bitmap.bit_count() == sum(
+        int.from_bytes(image[a : a + 8], "little") & mask != 0 for a in addrs
+    )
 
 
 def test_no_numpy_env_flag(monkeypatch):
@@ -304,6 +346,7 @@ PRIMITIVES = (
     "scan_clear_at",
     "scan_match_at",
     "scan_match_pairs",
+    "scan_torn",
 )
 
 
@@ -358,14 +401,22 @@ def _churn(rng, regions):
             _both(regions, "clflush", regions[0]._fast_line * regions[0].line_size)
 
 
-def _plant(rng, regions, cells, keys):
+def _plant(rng, regions, cells, keys, name):
     """Headers with random occupancy and junk above byte 0, and keys
-    drawn from ``keys``, at every in-region cell of ``cells``."""
+    drawn from ``keys``, at every in-region cell of ``cells``. For
+    ``scan_torn`` a payload is as often all zero and a header may carry
+    only bit 7, so free cells are torn or clean; the other primitives
+    keep their key-match rate."""
     key_size = len(keys[0])
+    headers = [0, 1, 0x100, 0x101, 1 << 40, 3]
+    payloads = keys
+    if name == "scan_torn":
+        headers = headers + [0x80]
+        payloads = keys + [bytes(key_size)] * len(keys)
     for addr in cells:
         if addr + 8 + key_size <= ORACLE_REGION:
-            header = rng.choice([0, 1, 0x100, 0x101, 1 << 40, 3])
-            cell = header.to_bytes(8, "little") + rng.choice(keys)
+            header = rng.choice(headers)
+            cell = header.to_bytes(8, "little") + rng.choice(payloads)
             _both(regions, "write", addr, cell)
 
 
@@ -379,6 +430,9 @@ def _scan_args(data, rng, name, keys):
     stride = data.draw(st.sampled_from([4, 8, 12, 16, 24, 40, 72, 136]), label="stride")
     count = data.draw(st.integers(0, 24), label="count")
     access = 8 if name.startswith(("scan_clear", "scan_occupied")) else 8 + len(key)
+    if name == "scan_torn":
+        sizes = st.sampled_from([1, 8, 12, access, access + 4])
+        access = data.draw(sizes, label="size")
     edge = ORACLE_REGION - access - max(count - 1, 0) * stride
     addr = data.draw(
         st.integers(0, ORACLE_REGION // 4 - 2).map(lambda a: a * 4)
@@ -399,6 +453,8 @@ def _scan_args(data, rng, name, keys):
         return window, ([(a, rng.choice(mixed)) for a in gather],), match
     if name in ("scan_clear_u64", "scan_occupied_bitmap"):
         return window, (addr, stride, count, mask), {}
+    if name == "scan_torn":
+        return window, (addr, stride, count, access, mask), {}
     if name == "scan_match_many":
         many = [rng.choice(mixed + [key]) for _ in range(rng.randrange(6))]
         return window, (addr, stride, count, many), match
@@ -447,7 +503,7 @@ def test_fused_scan_matches_per_word_loop(name, data):
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     for _ in range(data.draw(st.integers(1, 3), label="rounds")):
         window, args, kwargs = _scan_args(data, rng, name, keys)
-        _plant(rng, regions, window, keys)
+        _plant(rng, regions, window, keys, name)
         _churn(rng, regions)
         assert _oracle_state(fused) == _oracle_state(ref)
         assert _outcome(fused, name, args, kwargs) == _outcome(ref, name, args, kwargs)
@@ -472,19 +528,7 @@ def test_cold_group_scan_charges_one_access_per_line(monkeypatch):
     """A cold scan of 256 cells of 24 B runs CacheSim.access once per
     line (96), never per word; a WearLevelledRegion still runs the
     per-word loop and charges what it always has."""
-    calls = {"access": 0, "touch_mru": 0}
-    access, touch_mru = CacheSim.access, CacheSim.touch_mru
-
-    def counted_access(self, line, *, is_write):
-        calls["access"] += 1
-        return access(self, line, is_write=is_write)
-
-    def counted_touch_mru(self, line, is_write):
-        calls["touch_mru"] += 1
-        return touch_mru(self, line, is_write)
-
-    monkeypatch.setattr(CacheSim, "access", counted_access)
-    monkeypatch.setattr(CacheSim, "touch_mru", counted_touch_mru)
+    calls = count_cache_calls(monkeypatch)
     region = NVMRegion(1 << 16)
     assert region.scan_occupied_bitmap(0, 24, 256) == 0
     assert calls == {"access": 96, "touch_mru": 0}
@@ -519,3 +563,83 @@ def test_cold_group_scan_charges_one_access_per_line(monkeypatch):
         "nvm_line_reads": 226,
         "sim_time_ns": 41445.0,
     }
+
+
+# ----------------------------------------------------------------------
+# scan_torn: Algorithm 4's scan, fused against the per-cell loop
+
+TORN_CELLS = 40
+TORN_BASE = 64  # 24-byte cells: cell 2 spans bytes 112–135, lines 1 and 2
+
+
+def _plant_torn(regions, torn, mask):
+    """24-byte cells from :data:`TORN_BASE`: every third one occupied
+    (a ``mask`` bit plus junk), the rest free with junk above the mask
+    bit, zero payloads except the ``torn`` free cells'."""
+    free_header = (0x81 & ~mask) | 0x200
+    for i in range(TORN_CELLS):
+        header = mask | 0x100 if i % 3 == 1 else free_header
+        payload = bytes(16)
+        if i % 3 == 1 or i in torn:
+            payload = bytes([i + 1]) * 16
+        for region in regions:
+            region.write(TORN_BASE + 24 * i, header.to_bytes(8, "little") + payload)
+
+
+def _recover_window(region, mask):
+    """Scan to each torn cell, reset it, resume after it — the shape of
+    ``recover_group_table``; returns the torn indices and the count."""
+    found, count, start = [], 0, 0
+    while start < TORN_CELLS:
+        torn, occupied = region.scan_torn(
+            TORN_BASE + 24 * start, 24, TORN_CELLS - start, 24, mask
+        )
+        count += occupied
+        if torn is None:
+            break
+        found.append(start + torn)
+        region.write(TORN_BASE + 24 * (start + torn) + 8, bytes(16))
+        region.persist(TORN_BASE + 24 * (start + torn) + 8, 16)
+        start += torn + 1
+    return found, count
+
+
+@pytest.mark.parametrize("flush_invalidates", [True, False])
+@pytest.mark.parametrize("mask", [1, 0x80])
+@pytest.mark.parametrize(
+    "torn",
+    [(), (0,), (TORN_CELLS - 1,), (2,), (0, 5, 6, 2, TORN_CELLS - 1)],
+    ids=["none", "first", "last", "straddling", "several"],
+)
+def test_scan_torn_matches_per_cell_loop(flush_invalidates, mask, torn):
+    """Torn cells at the window's start and end, in a cell straddling
+    two lines, none and several; a mask above bit 0; both flush
+    semantics. The fused scan finds the same cells and count and leaves
+    the state the per-cell loop leaves."""
+    config = SimConfig(
+        latency=ODD_LATENCY,
+        cache=CacheConfig(size_bytes=512, line_size=64, associativity=2),
+        flush_invalidates=flush_invalidates,
+    )
+    regions = NVMRegion(ORACLE_REGION, config), _Ref(ORACLE_REGION, config)
+    _plant_torn(regions, torn, mask)
+    outcomes = [_recover_window(region, mask) for region in regions]
+    expected = sorted(i for i in torn if i % 3 != 1)
+    assert outcomes[0] == outcomes[1] == (expected, len(range(1, TORN_CELLS, 3)))
+    assert _oracle_state(regions[0]) == _oracle_state(regions[1])
+
+
+def test_scan_torn_wear_levelled_runs_the_loop():
+    """A WearLevelledRegion remaps addresses, so scan_torn runs the
+    per-cell loop: the events of one read per cell up to the torn one."""
+    cfg = SimConfig(cache=CacheConfig(size_bytes=1024, line_size=64, associativity=2))
+    regions = [WearLevelledRegion(1 << 13, cfg, rotate_every=8) for _ in range(2)]
+    _plant_torn(regions, (5, 20), 1)
+    scanned, looped = regions
+    assert scanned.scan_torn(TORN_BASE, 24, TORN_CELLS, 24) == (5, 2)
+    occupied = 0
+    for i in range(6):
+        raw = looped.read(TORN_BASE + 24 * i, 24)
+        occupied += raw[0] & 1
+    assert (occupied, raw[8:] != bytes(16)) == (2, True)
+    assert scanned.stats.as_dict() == looped.stats.as_dict()

@@ -15,6 +15,9 @@ from tests.conftest import (
     small_region,
 )
 
+from repro import random_schedule
+from repro.nvm import SimulatedPowerFailure
+from repro.tables.base import PersistentHashTable
 
 
 @pytest.fixture(params=ALL_SCHEMES)
@@ -201,3 +204,48 @@ def test_full_table_insert_fails_gracefully(scheme):
     sample = list(inserted.items())[:50]
     for k, v in sample:
         assert table.query(k) == v
+
+
+def _uses_generic_recover(name, logged):
+    table = make_table(name, small_region(1 << 20), logged=logged)
+    return type(table).recover is PersistentHashTable.recover
+
+
+#: (scheme, logged) for every table that uses the generic recover
+BASE_RECOVER = [
+    (name, logged)
+    for name in ALL_SCHEMES
+    for logged in (False, True)
+    if (name in LOGGABLE_SCHEMES or not logged) and _uses_generic_recover(name, logged)
+]
+
+
+def _per_cell_recover(table):
+    """The generic recover's count rebuild as one is_occupied per cell."""
+    if table.log is not None:
+        table.log.recover()
+    table._set_count(
+        sum(table.codec.is_occupied(table.region, a) for a in table._iter_cell_addrs())
+    )
+
+
+@pytest.mark.parametrize("scheme,logged", BASE_RECOVER)
+def test_generic_recover_charges_the_per_cell_loop(scheme, logged):
+    """The generic recover's single gather charges exactly what one
+    is_occupied per cell charged: same count, MemStats and sim time."""
+    states = []
+    for recover in (PersistentHashTable.recover, _per_cell_recover):
+        region, table = build(scheme, logged=logged)
+        for k, v in random_items(150, seed=12):
+            table.insert(k, v)
+        region.arm_crash(7)
+        with pytest.raises(SimulatedPowerFailure):
+            for k, v in random_items(20, seed=13):
+                table.insert(k, v)
+        region.crash(random_schedule(5))
+        table.reattach()
+        if table.log is not None:
+            table.log.reattach()
+        recover(table)
+        states.append((table.count, region.stats.as_dict()))
+    assert states[0] == states[1]
