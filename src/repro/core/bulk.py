@@ -6,14 +6,21 @@ order — random cacheline traffic. For initial loads (restoring a backup
 of a dedup index, warming a cache from a snapshot) none of that is
 necessary, and this module provides the standard optimisation:
 
-1. *plan* all placements in memory (home cell, else first free slot of
-   the matched level-2 group — identical placement policy to
-   Algorithm 1, so the resulting table is indistinguishable from one
-   built by single inserts in the same order);
+1. *plan* all placements in memory (for each hash function in turn, the
+   home cell, else the first free slot of the matched level-2 group —
+   identical placement policy to Algorithm 1, so the resulting table is
+   indistinguishable from one built by single inserts in the same
+   order);
 2. *write* cells in **address order**, setting the kv and header of
    each cell with no per-cell persist;
 3. *flush* each touched cacheline exactly once, sequentially (stream-
    prefetch friendly), fence, and persist the count last.
+
+Planning hashes the items a chunk at a time (:meth:`HashFamily.hash_many`)
+and the writes go through the backend's bulk stores
+(:meth:`~repro.nvm.backend.MemoryBackend.store_cells`, ``flush_lines``),
+:data:`BULK_CHUNK` cells a call, so no per-item list of the whole batch
+is held beyond the placement plan.
 
 Trade-off, stated loudly: a crash **during** a bulk load is not
 item-atomic — a torn line can persist a set bitmap without its
@@ -27,62 +34,88 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from repro.core.group_hash import GroupHashTable
+from repro.core.group_hash import GroupHashTable, _touched_lines
+from repro.tables.cell import HEADER_SIZE, OCCUPIED_BIT
+
+#: items hashed, and cells stored, per call
+BULK_CHUNK = 256
 
 
 def bulk_load(
     table: GroupHashTable, items: Iterable[tuple[bytes, bytes]]
 ) -> list[tuple[bytes, bytes]]:
     """Load ``items`` into ``table``; returns the rejected overflow
-    (items whose home cell and matched group were full).
+    (items whose home cell and matched group were full under every hash
+    function).
 
     The table may already contain data; existing cells are respected.
+    Raises ValueError, with nothing stored, when any item's key or
+    value is not the table spec's width.
     """
-    codec, region, layout = table.codec, table.region, table.layout
+    items = items if isinstance(items, list) else list(items)
+    table._check_items(items)
+    region, layout = table.region, table.layout
+    cell_size = table.codec.cell_size
     group_size = table.group_size
-    hash0 = table._hashes[0]
+    n_level = layout.n_cells_level
+    tab1, tab2 = layout.tab1_base, layout.tab2_base
+    hashes = table._hashes
+    hash_many = table.family.hash_many
 
     # ---- plan placements in memory -----------------------------------
     # current occupancy, read once (cost-free peeks: planning is CPU
     # work, not memory traffic) through the table's bounded range-peek
     # windows — never one peek per cell (pinned by tests/test_bulk_load.py)
-    level1_used = list(table._occupied_flags(layout.tab1_base))
-    level2_used = list(table._occupied_flags(layout.tab2_base))
+    level1_used = bytearray(table._occupied_flags(tab1))
+    level2_used = bytearray(table._occupied_flags(tab2))
 
-    placements: list[tuple[int, bytes, bytes]] = []  # (cell addr, key, value)
+    # one int per placement, cell address above item index: sorting the
+    # ints sorts the cells into address order
+    shift = len(items).bit_length()
+    placements: list[int] = []
     rejected: list[tuple[bytes, bytes]] = []
-    for key, value in items:
-        k = layout.slot(hash0(key))
-        if not level1_used[k]:
-            level1_used[k] = True
-            placements.append((layout.tab1_addr(codec, k), key, value))
-            continue
-        start = layout.group_start(k)
-        for j in range(start, start + group_size):
-            if not level2_used[j]:
-                level2_used[j] = True
-                placements.append((layout.tab2_addr(codec, j), key, value))
-                break
-        else:
-            rejected.append((key, value))
+    for start in range(0, len(items), BULK_CHUNK):
+        chunk = items[start : start + BULK_CHUNK]
+        homes = hash_many(0, [key for key, _ in chunk])
+        for index, (key, value), home in zip(
+            range(start, start + len(chunk)), chunk, homes
+        ):
+            for hi, h in enumerate(hashes):
+                k = (h(key) if hi else home) % n_level
+                if not level1_used[k]:
+                    level1_used[k] = 1
+                    placements.append((tab1 + k * cell_size) << shift | index)
+                    break
+                group = k - k % group_size
+                j = level2_used.find(0, group, group + group_size)
+                if j >= 0:
+                    level2_used[j] = 1
+                    placements.append((tab2 + j * cell_size) << shift | index)
+                    break
+            else:
+                rejected.append((key, value))
 
     if not placements:
         return rejected
 
     # ---- write in address order, flush each line once ----------------
-    placements.sort(key=lambda p: p[0])
-    line = region.line_size
-    touched_lines: list[int] = []
-    for addr, key, value in placements:
-        codec.write_kv(region, addr, key, value)
-        codec.set_occupied(region, addr, True)
-        first = addr // line
-        last = (addr + codec.cell_size - 1) // line
-        for ln in range(first, last + 1):
-            if not touched_lines or touched_lines[-1] != ln:
-                touched_lines.append(ln)
-    for ln in touched_lines:
-        region.clflush(ln * line)
+    placements.sort()
+    index_mask = (1 << shift) - 1
+    lines: list[int] = []
+    for start in range(0, len(placements), BULK_CHUNK):
+        chunk = placements[start : start + BULK_CHUNK]
+        cells = [p >> shift for p in chunk]
+        payloads = [
+            key + value for key, value in (items[p & index_mask] for p in chunk)
+        ]
+        region.store_cells(cells, payloads, HEADER_SIZE, OCCUPIED_BIT)
+        # chunks ascend, so only a chunk's first line can repeat the
+        # previous chunk's last
+        chunk_lines = _touched_lines(cells, 0, cell_size, region.line_size)
+        if lines and lines[-1] == chunk_lines[0]:
+            del chunk_lines[0]
+        lines += chunk_lines
+    region.flush_lines(lines)
     region.mfence()
 
     table._set_count(table.count + len(placements))

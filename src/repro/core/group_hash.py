@@ -54,6 +54,24 @@ _OCCUPIED_FLAG = bytes(1 if b & OCCUPIED_BIT else 0 for b in range(256))
 _FREE_FLAG = bytes(1 - flag for flag in _OCCUPIED_FLAG)
 
 
+def _touched_lines(cells, offset: int, size: int, line_size: int) -> list[int]:
+    """Ascending line numbers spanned by the extents ``[cell + offset,
+    cell + offset + size)`` (``size > 0``) of the ascending ``cells``,
+    each once: a batch commit's flush list."""
+    lines: list[int] = []
+    end = offset + size - 1
+    for cell in cells:
+        first = (cell + offset) // line_size
+        last = (cell + end) // line_size
+        if lines and lines[-1] >= first:
+            first = lines[-1] + 1
+        if first == last:
+            lines.append(first)
+        elif first < last:
+            lines.extend(range(first, last + 1))
+    return lines
+
+
 class GroupHashTable(PersistentHashTable):
     """The paper's group hashing scheme."""
 
@@ -335,7 +353,7 @@ class GroupHashTable(PersistentHashTable):
 
     def _plan_puts(
         self, items: list[tuple[bytes, bytes]], *, stop_on_failure: bool
-    ) -> tuple[list[bool], list[tuple[int, bytes, bytes]], int]:
+    ) -> tuple[list[bool], list[tuple[int, bytes]], int]:
         """Plan Algorithm 1 placements for a batch without committing.
 
         Occupancy is read through the costed scan primitives — one
@@ -345,20 +363,16 @@ class GroupHashTable(PersistentHashTable):
         placements, consumed)``; with ``stop_on_failure`` the plan ends
         at the first unplaceable item (``consumed`` < ``len(items)``)."""
         layout, region, codec = self.layout, self.region, self.codec
-        spec = codec.spec
         cell_size = codec.cell_size
         group_size = self.group_size
         n_level = layout.n_cells_level
         full_mask = (1 << group_size) - 1
         tab1, tab2 = layout.tab1_base, layout.tab2_base
-        for key, value in items:
-            if len(key) != spec.key_size or len(value) != spec.value_size:
-                raise ValueError(
-                    f"item must be {spec.key_size}+{spec.value_size} bytes, "
-                    f"got {len(key)}+{len(value)}"
-                )
+        self._check_items(items)
         hashes = self._hashes
-        homes = [hashes[0](key) % n_level for key, _ in items]
+        homes = [
+            h % n_level for h in self.family.hash_many(0, [key for key, _ in items])
+        ]
         unique = sorted(set(homes))
         seed_bitmap = region.scan_occupied_at(
             [tab1 + k * cell_size for k in unique], OCCUPIED_BIT
@@ -366,7 +380,7 @@ class GroupHashTable(PersistentHashTable):
         l1_state = {k: bool(seed_bitmap >> i & 1) for i, k in enumerate(unique)}
         group_state: dict[int, int] = {}
         results = [False] * len(items)
-        placements: list[tuple[int, bytes, bytes]] = []
+        placements: list[tuple[int, bytes]] = []  # (cell, key + value)
         for idx, (key, value) in enumerate(items):
             placed = False
             for hi, h in enumerate(hashes):
@@ -378,7 +392,7 @@ class GroupHashTable(PersistentHashTable):
                     )
                 if not occupied:
                     l1_state[k] = True
-                    placements.append((tab1 + k * cell_size, key, value))
+                    placements.append((tab1 + k * cell_size, key + value))
                     placed = True
                     break
                 l1_state[k] = True
@@ -396,11 +410,7 @@ class GroupHashTable(PersistentHashTable):
                     slot = (free & -free).bit_length() - 1
                     group_state[group] = bitmap | (1 << slot)
                     placements.append(
-                        (
-                            tab2 + (group * group_size + slot) * cell_size,
-                            key,
-                            value,
-                        )
+                        (tab2 + (group * group_size + slot) * cell_size, key + value)
                     )
                     placed = True
                     break
@@ -410,7 +420,18 @@ class GroupHashTable(PersistentHashTable):
                 return results[:idx], placements, idx
         return results, placements, len(items)
 
-    def _commit_puts(self, placements: list[tuple[int, bytes, bytes]]) -> None:
+    def _check_items(self, items) -> None:
+        """Raise ValueError, before anything is stored, when an item's key
+        or value is not the spec's width."""
+        spec = self.spec
+        for key, value in items:
+            if len(key) != spec.key_size or len(value) != spec.value_size:
+                raise ValueError(
+                    f"item must be {spec.key_size}+{spec.value_size} bytes, "
+                    f"got {len(key)}+{len(value)}"
+                )
+
+    def _commit_puts(self, placements: list[tuple[int, bytes]]) -> None:
         """Coalesced Algorithm 1 commit of planned placements.
 
         Phase order carries the consistency argument: every key-value
@@ -423,27 +444,13 @@ class GroupHashTable(PersistentHashTable):
         region = self.region
         item_size = self.codec.spec.item_size
         line = region.line_size
-        placements.sort(key=lambda p: p[0])
-        kv_lines: list[int] = []
-        for addr, key, value in placements:
-            kv_addr = addr + HEADER_SIZE
-            region.write(kv_addr, key + value)
-            first = kv_addr // line
-            last = (kv_addr + item_size - 1) // line
-            for ln in range(first, last + 1):
-                if not kv_lines or kv_lines[-1] != ln:
-                    kv_lines.append(ln)
-        for ln in kv_lines:
-            region.clflush(ln * line)
+        placements.sort()  # by address: cells are distinct
+        cells, payloads = zip(*placements)
+        region.store_cells(cells, payloads, HEADER_SIZE)
+        region.flush_lines(_touched_lines(cells, HEADER_SIZE, item_size, line))
         region.mfence()
-        header_lines: list[int] = []
-        for addr, _, _ in placements:
-            region.write_atomic_u64(addr, region.read_u64(addr) | OCCUPIED_BIT)
-            ln = addr // line
-            if not header_lines or header_lines[-1] != ln:
-                header_lines.append(ln)
-        for ln in header_lines:
-            region.clflush(ln * line)
+        region.store_cells(cells, None, 0, OCCUPIED_BIT)
+        region.flush_lines(_touched_lines(cells, 0, HEADER_SIZE, line))
         region.mfence()
         self._set_count(self._count + len(placements))
         if self.metrics is not None:
@@ -461,10 +468,9 @@ class GroupHashTable(PersistentHashTable):
         group_size = self.group_size
         n_level = layout.n_cells_level
         tab1, tab2 = layout.tab1_base, layout.tab2_base
-        h0 = self._hashes[0]
         n = len(keys)
         out: list[int | None] = [None] * n
-        homes = [h0(key) % n_level for key in keys]
+        homes = [h % n_level for h in self.family.hash_many(0, keys)]
         order = sorted(range(n), key=lambda i: homes[i])
         l1_hits = region.scan_match_pairs(
             [(tab1 + homes[i] * cell_size, keys[i]) for i in order],

@@ -47,9 +47,13 @@ from repro.nvm.memory import (
     CrashReport,
     NVMRegion,
     SimulatedPowerFailure,
+    _MIN_BATCH,
     _U64,
+    _flush_batch,
     _occupied_bitmap,
     _scan_torn_loop,
+    _store_batch,
+    _store_cells_loop,
     image_diff,
 )
 from repro.nvm.observe import Observable
@@ -261,6 +265,28 @@ class MemoryBackend(Protocol):
         Contract: the events of one ``read(cell, size)`` per probed
         cell, stopping at the torn cell — Algorithm 4's recovery scan,
         which resets that cell and resumes after it."""
+        ...
+
+    # -- bulk stores ---------------------------------------------------
+    #
+    # Like the probes, each bulk store's contract is the event sequence
+    # of its per-call loop. NVMRegion charges it in one inlined loop and
+    # RawBackend applies it natively; subclasses, armed crashes and
+    # attached observers run the loop itself.
+
+    def store_cells(
+        self, cells, payloads=None, offset: int = 8, mask: int = 0
+    ) -> None:
+        """Per cell of the sequence ``cells``, in order: ``write(cell +
+        offset, payloads[i])``, then ``write_atomic_u64(cell,
+        read_u64(cell) | mask)``. ``payloads=None`` skips the first
+        half, ``mask=0`` the second — a batch commit's key-value stores
+        or its bitmap commits, without their flushes."""
+        ...
+
+    def flush_lines(self, lines) -> None:
+        """Contract: ``clflush(line * line_size)`` per line number of the
+        sequence ``lines``, in order."""
         ...
 
     # -- persistence primitives ----------------------------------------
@@ -913,6 +939,83 @@ class RawBackend(Observable):
         and the occupied cells before it (Algorithm 4's scan), as the
         reference loop: one :meth:`read` per cell up to the torn one."""
         return _scan_torn_loop(self, addr, stride, count, size, mask)
+
+    # ------------------------------------------------------------------
+    # bulk stores
+
+    def store_cells(
+        self, cells, payloads=None, offset: int = 8, mask: int = 0
+    ) -> None:
+        """The per-cell loop of payload stores and ``mask`` commits (see
+        :meth:`NVMRegion.store_cells`), applied natively: slice stores,
+        header ORs and dirty lines, with the loop's counts."""
+        size = None
+        line_size = self._line
+        if len(cells) >= _MIN_BATCH and not self._slow:
+            size = _store_batch(self, cells, payloads, offset, mask)
+        if size is None or size > line_size:
+            _store_cells_loop(self, cells, payloads, offset, mask)
+            return
+        vol = self._volatile
+        if not mask:
+            for cell, payload in zip(cells, payloads):
+                addr = cell + offset
+                vol[addr : addr + size] = payload
+        else:
+            pack, unpack = _U64.pack_into, _U64.unpack_from
+            for i, cell in enumerate(cells):
+                if size:
+                    addr = cell + offset
+                    vol[addr : addr + size] = payloads[i]
+                if mask <= 0xFF:
+                    vol[cell] |= mask
+                else:
+                    pack(vol, cell, unpack(vol, cell)[0] | mask)
+        # an extent of at most one line spans its first and last line;
+        # an aligned header word never straddles (line_size % 8 == 0)
+        dirty = self._dirty
+        if size:
+            end = offset + size - 1
+            dirty.update([(cell + offset) // line_size for cell in cells])
+            dirty.update([(cell + end) // line_size for cell in cells])
+        if mask:
+            dirty.update([cell // line_size for cell in cells])
+        n = len(cells)
+        stats = self.stats
+        if size:
+            stats.writes += n
+            stats.bytes_written += n * size
+        if mask:
+            stats.reads += n
+            stats.bytes_read += n * ATOMIC_UNIT
+            stats.writes += n
+            stats.bytes_written += n * ATOMIC_UNIT
+
+    def flush_lines(self, lines) -> None:
+        """``clflush`` per line number of ``lines``, in order; natively,
+        one dirty-set test per line."""
+        if len(lines) < _MIN_BATCH or self._slow or not _flush_batch(self, lines):
+            for line in lines:
+                self.clflush(line * self._line)
+            return
+        stats = self.stats
+        line_size = self._line
+        dirty = self._dirty
+        volatile = self._volatile
+        persistent = self._persistent
+        written = 0
+        for line in lines:
+            if line in dirty:
+                dirty.remove(line)
+                start = line * line_size
+                end = min(start + line_size, self.size)
+                persistent[start:end] = volatile[start:end]
+                written += 1
+                stats.nvm_bytes_written += end - start
+        stats.flushes += len(lines)
+        stats.writebacks += written
+        stats.nvm_line_writes += written
+        stats.dirty_flushes += written
 
     # ------------------------------------------------------------------
     # persistence primitives

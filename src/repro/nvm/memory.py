@@ -163,6 +163,62 @@ def _scan_torn_loop(
     return None, occupied
 
 
+def _store_cells_loop(region, cells, payloads, offset: int, mask: int) -> None:
+    """``store_cells`` as its per-cell loop: the contract, and the path
+    of subclasses, armed crashes, observers, small and odd batches.
+    Raises ValueError, before any store, when ``payloads`` and
+    ``cells`` differ in length."""
+    if payloads is not None and len(payloads) != len(cells):
+        raise ValueError(f"{len(payloads)} payloads for {len(cells)} cells")
+    for i, cell in enumerate(cells):
+        if payloads is not None:
+            region.write(cell + offset, payloads[i])
+        if mask:
+            region.write_atomic_u64(cell, region.read_u64(cell) | mask)
+
+
+#: batches of fewer cells (or lines) run the bulk stores' per-call loop:
+#: below it the batch path's set-up costs more than it saves
+_MIN_BATCH = 4
+
+
+def _store_batch(region, cells, payloads, offset: int, mask: int) -> int | None:
+    """The payload size (0 without payloads) when a backend may store a
+    batch of at least :data:`_MIN_BATCH` cells natively, or None when
+    the per-cell loop must run: nothing to store, a payload count other
+    than the cell count, payloads of mixed or zero length, a store
+    outside the region, or a mask commit on an unaligned or outside
+    cell (the loop then raises where it would)."""
+    if payloads is None:
+        if not mask:
+            return None
+    elif len(payloads) != len(cells):
+        return None
+    lo, hi = min(cells), max(cells)
+    size = 0
+    if payloads is not None:
+        sizes = set(map(len, payloads))
+        if len(sizes) != 1:
+            return None
+        size = sizes.pop()
+        if not size or lo + offset < 0 or hi + offset + size > region.size:
+            return None
+    if mask and not (
+        0 < mask < 1 << 64
+        and lo >= 0
+        and hi + ATOMIC_UNIT <= region.size
+        and not any(map((ATOMIC_UNIT - 1).__and__, cells))
+    ):
+        return None
+    return size
+
+
+def _flush_batch(region, lines) -> bool:
+    """Whether a backend may flush ``lines`` natively (else the loop
+    runs, and raises where it would)."""
+    return min(lines) >= 0 and max(lines) * region.line_size < region.size
+
+
 def _first_key(
     vol: bytearray, cells: range, key: bytes, key_offset: int, mask: int
 ) -> int:
@@ -914,6 +970,188 @@ class NVMRegion(Observable):
             self._charge_reads(cells if i < 0 else cells[: i + 1], size)
             return None if i < 0 else i, occupied
         return _scan_torn_loop(self, addr, stride, count, size, mask)
+
+    # ------------------------------------------------------------------
+    # bulk stores
+    #
+    # Like a probe, a bulk store's contract is the event sequence of its
+    # per-call loop (:func:`_store_cells_loop`, and a ``clflush`` per line).
+    # The base class stores into the volatile view and charges that
+    # sequence in one inlined loop; subclasses, an armed crash and an
+    # attached observer run the loop itself, so every event ticks the
+    # countdown and reaches the observers.
+
+    def _fused_stores(self) -> bool:
+        """Whether the base class runs a bulk store inline (else the
+        loop runs)."""
+        return (
+            self.__class__ is NVMRegion
+            and self._crash_countdown is None
+            and self._notify is None
+            and self._line % ATOMIC_UNIT == 0
+        )
+
+    def store_cells(
+        self, cells, payloads=None, offset: int = 8, mask: int = 0
+    ) -> None:
+        """Per cell of ``cells``, in order: ``write(cell + offset,
+        payloads[i])``, then ``write_atomic_u64(cell, read_u64(cell) |
+        mask)`` — Algorithm 1's key-value store and bitmap commit over a
+        batch, without the flushes. Either half is skipped:
+        ``payloads=None`` or ``mask=0``.
+
+        The contract is the event sequence of that loop. The fused path
+        charges it as :meth:`_charge_reads` does: :meth:`CacheSim.access`
+        once per line entered, a repeat touch of the MRU line a hit that
+        only marks it dirty (``touch_mru``), one ``sim_time_ns`` add per
+        touch in the loop's order, dirty victims written back in that
+        order (with the clock published first) before the store that
+        displaced them lands."""
+        if len(cells) < _MIN_BATCH or not self._fused_stores():
+            _store_cells_loop(self, cells, payloads, offset, mask)
+            return
+        size = _store_batch(self, cells, payloads, offset, mask)
+        if size is None:
+            _store_cells_loop(self, cells, payloads, offset, mask)
+            return
+        stats = self.stats
+        access = self.cache.access
+        touch_mru = self.cache.touch_mru
+        latency = self._latency
+        hit_ns = latency.cache_hit_ns
+        line_size = self._line
+        span = size - 1
+        vol = self._volatile
+        byte_mask = mask <= 0xFF
+        fast = self._fast_line
+        prev = self._prev_line
+        sim = stats.sim_time_ns
+        hits = misses = prefetched = evictions = 0
+        for i, cell in enumerate(cells):
+            if size:
+                # write(cell + offset, payload): every line it spans
+                addr = cell + offset
+                line = addr // line_size
+                last = (addr + span) // line_size
+                if line == fast:
+                    touch_mru(line, True)
+                    hits += 1
+                    sim += hit_ns
+                    line += 1
+                while line <= last:
+                    hit, evicted = access(line, is_write=True)
+                    if hit:
+                        hits += 1
+                        sim += hit_ns
+                    elif line == prev + 1:
+                        prefetched += 1
+                        sim += latency.prefetch_hit_ns
+                    else:
+                        misses += 1
+                        sim += latency.line_fill_ns
+                    prev = line
+                    if evicted is not None:
+                        evictions += 1
+                        if evicted[1]:
+                            stats.sim_time_ns = sim
+                            self._writeback(evicted[0])
+                            sim += latency.eviction_writeback_ns
+                    line += 1
+                fast = last
+                vol[addr : addr + size] = payloads[i]
+            if mask:
+                # read_u64(cell), then write_atomic_u64 of the same word:
+                # one line, entered by the read, so the write is a hit
+                line = cell // line_size
+                if line == fast:
+                    touch_mru(line, True)
+                    hits += 2
+                    sim += hit_ns
+                    sim += hit_ns
+                else:
+                    # one access for both touches: the fill (or hit)
+                    # leaves the line MRU and, after the write, dirty
+                    hit, evicted = access(line, is_write=True)
+                    if hit:
+                        hits += 1
+                        sim += hit_ns
+                    elif line == prev + 1:
+                        prefetched += 1
+                        sim += latency.prefetch_hit_ns
+                    else:
+                        misses += 1
+                        sim += latency.line_fill_ns
+                    prev = fast = line
+                    if evicted is not None:
+                        evictions += 1
+                        if evicted[1]:
+                            stats.sim_time_ns = sim
+                            self._writeback(evicted[0])
+                            sim += latency.eviction_writeback_ns
+                    hits += 1
+                    sim += hit_ns
+                if byte_mask:
+                    vol[cell] |= mask
+                else:
+                    _U64.pack_into(vol, cell, _U64.unpack_from(vol, cell)[0] | mask)
+        self._prev_line = prev
+        self._fast_line = fast
+        n = len(cells)
+        if size:
+            stats.writes += n
+            stats.bytes_written += n * size
+        if mask:
+            stats.reads += n
+            stats.bytes_read += n * ATOMIC_UNIT
+            stats.writes += n
+            stats.bytes_written += n * ATOMIC_UNIT
+        stats.cache_hits += hits
+        if misses or prefetched:  # fills, and the evictions they caused
+            stats.cache_misses += misses
+            stats.prefetched_fills += prefetched
+            stats.nvm_line_reads += misses + prefetched
+            stats.evictions += evictions
+        stats.sim_time_ns = sim
+
+    def flush_lines(self, lines) -> None:
+        """``clflush(line * line_size)`` per line number of ``lines``, in
+        order — the flush half of a batch commit.
+
+        The contract is the event sequence of that loop; the fused path
+        runs each line through the cache once and charges the flush
+        costs in the loop's order."""
+        if len(lines) < _MIN_BATCH or not (
+            self._fused_stores() and _flush_batch(self, lines)
+        ):
+            for line in lines:
+                self.clflush(line * self._line)
+            return
+        stats = self.stats
+        cache = self.cache
+        invalidate = self.config.flush_invalidates
+        clean_ns = self._latency.flush_cost(False)
+        dirty_ns = self._latency.flush_cost(True)
+        fast = self._fast_line
+        sim = stats.sim_time_ns
+        dirty = 0
+        for line in lines:
+            if invalidate:
+                was_dirty = cache.flush(line)[1]
+                if line == fast:
+                    fast = -1
+            else:
+                was_dirty = cache.writeback(line)
+            if was_dirty:
+                stats.sim_time_ns = sim
+                self._writeback(line)
+                dirty += 1
+                sim += dirty_ns
+            else:
+                sim += clean_ns
+        self._fast_line = fast
+        stats.flushes += len(lines)
+        stats.dirty_flushes += dirty
+        stats.sim_time_ns = sim
 
     # ------------------------------------------------------------------
     # persistence primitives

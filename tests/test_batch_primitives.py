@@ -1,0 +1,348 @@
+"""Parity oracles for the batch write primitives and the batch hash.
+
+``store_cells`` and ``flush_lines`` are defined by the event sequence of
+their per-call loops (a payload ``write`` and a ``read_u64`` /
+``write_atomic_u64`` commit per cell; a ``clflush`` per line).
+:class:`NVMRegion` runs them fused and :class:`RawBackend` natively;
+here both are compared with the loop itself, which the ``_Ref``
+subclass (and any armed crash or attached observer) runs. The batch
+hash ``HashFamily.hash_many`` must equal the scalar function key by key
+on both sides of its numpy cut-off and under ``REPRO_NO_NUMPY=1``.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from tests.test_scan_primitives import (
+    ODD_LATENCY,
+    ORACLE_REGION,
+    _both,
+    _churn,
+    _oracle_pair,
+    _oracle_state,
+    _Ref,
+)
+
+from repro import CacheConfig, NVMRegion, RawBackend, SimConfig, SimulatedPowerFailure
+from repro.hashes import HashFamily, functions
+from repro.hashes.functions import _NP_MIN_HASH
+from repro.nvm.wearlevel import WearLevelledRegion
+
+
+def _loop_store(region, cells, payloads, offset, mask):
+    """The contract of ``store_cells``, spelled out."""
+    for i, cell in enumerate(cells):
+        if payloads is not None:
+            region.write(cell + offset, payloads[i])
+        if mask:
+            region.write_atomic_u64(cell, region.read_u64(cell) | mask)
+
+
+def _loop_flush(region, lines):
+    """The contract of ``flush_lines``, spelled out."""
+    for line in lines:
+        region.clflush(line * region.line_size)
+
+
+def _store_args(data, rng):
+    """A batch of cells (straddling lines, sometimes shuffled, repeated,
+    unaligned or past the region's end), payloads or None, an offset and
+    a mask (0 skips the commit half)."""
+    cell_size = data.draw(st.sampled_from([16, 24, 40]), label="cell_size")
+    count = data.draw(st.integers(0, 20), label="count")
+    base = data.draw(st.integers(0, ORACLE_REGION // cell_size - 1), label="base")
+    cells = [(base + i) * cell_size for i in range(count)]
+    cells = [cell for cell in cells if cell + cell_size <= ORACLE_REGION]
+    shape = data.draw(
+        st.sampled_from(["sorted", "shuffled", "repeat", "unaligned", "outside"]),
+        label="shape",
+    )
+    if shape == "shuffled":
+        rng.shuffle(cells)
+    elif shape == "repeat" and cells:
+        cells = cells + [rng.choice(cells)]
+    elif shape == "unaligned" and cells:
+        cells[rng.randrange(len(cells))] += 4
+    elif shape == "outside":
+        cells = cells + [ORACLE_REGION - 8 + rng.choice([0, 4, 8])]
+    offset = data.draw(st.sampled_from([8, 8, 0, 16]), label="offset")
+    mask = data.draw(st.sampled_from([0, 1, 1, 0x80, 0x100, 1 << 40]), label="mask")
+    payloads = None
+    if data.draw(st.booleans(), label="payloads") or not mask:
+        size = data.draw(st.sampled_from([cell_size - 8, 8, 1, 0]), label="size")
+        payloads = [rng.randbytes(size) for _ in cells]
+        if payloads and data.draw(st.booleans(), label="mixed"):
+            payloads[-1] = payloads[-1] + b"\x01"
+    return cells, payloads, offset, mask
+
+
+def _run(region, method, *args):
+    """Outcome of one primitive call (result or exception), plus the
+    clock each dirty writeback's wear observer read."""
+    wear_log = []
+    if region.wear is not None:
+        region.wear.observe(
+            lambda line: wear_log.append((line, region.stats.sim_time_ns))
+        )
+    try:
+        outcome = ("ok", getattr(region, method)(*args))
+    except (IndexError, ValueError) as exc:
+        outcome = (type(exc).__name__, str(exc))
+    if region.wear is not None:
+        region.wear.unobserve(region.wear.observers[0])
+    return outcome, wear_log
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fused_stores_match_per_call_loop(data):
+    """``store_cells`` then ``flush_lines`` leave exactly the state their
+    loops leave — every counter (``sim_time_ns`` under non-integer
+    costs), each cache set's LRU order and dirty flags, the prefetcher
+    and fast-line markers, both images and wear — on tiny caches that
+    evict dirty lines, both flush semantics, either half alone, empty
+    and odd batches (which raise where the loop raises)."""
+    fused, ref = regions = _oracle_pair(data)
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    for _ in range(data.draw(st.integers(1, 3), label="rounds")):
+        _churn(rng, regions)
+        cells, payloads, offset, mask = _store_args(data, rng)
+        prime = data.draw(st.sampled_from([None, 0, offset]), label="prime")
+        if prime is not None and cells and 0 <= cells[0] + prime < ORACLE_REGION:
+            # the batch starts on a clean MRU line: its first touch must
+            # still mark the line dirty
+            _both(regions, "read", cells[0] + prime, 1)
+        assert _run(fused, "store_cells", cells, payloads, offset, mask) == _run(
+            ref, "store_cells", cells, payloads, offset, mask
+        )
+        assert _oracle_state(fused) == _oracle_state(ref)
+        n_lines = ORACLE_REGION // fused.line_size
+        lines = sorted({min(cell // fused.line_size, n_lines - 1) for cell in cells})
+        if data.draw(st.booleans(), label="shuffle_lines"):
+            rng.shuffle(lines)
+            lines += lines[:2]
+        if data.draw(st.integers(0, 9), label="bad_line") == 0:
+            lines.append(n_lines)
+        assert _run(fused, "flush_lines", lines) == _run(ref, "flush_lines", lines)
+        assert _oracle_state(fused) == _oracle_state(ref)
+
+
+def test_fused_stores_match_loop_on_straddling_cells():
+    """A deterministic case: 24-byte cells from 16 on a two-set cache,
+    so kv writes straddle lines and fills evict dirty lines; the store,
+    the flush and a bitmap-only pass all match the loop."""
+    config = SimConfig(
+        latency=ODD_LATENCY,
+        cache=CacheConfig(size_bytes=256, line_size=64, associativity=2),
+    )
+    fused, ref = NVMRegion(ORACLE_REGION, config), _Ref(ORACLE_REGION, config)
+    cells = [16 + 24 * i for i in range(40)]
+    payloads = [bytes([i + 1]) * 16 for i in range(40)]
+    for region in (fused, ref):
+        region.read(cells[0] + 8, 1)  # a clean MRU line under the first write
+        region.store_cells(cells, payloads, 8, 1)
+        region.flush_lines(list(range(0, (16 + 24 * 40) // 64 + 1)))
+        region.read(cells[0], 1)  # and under the first bitmap-only commit
+        region.store_cells(cells[::3], None, 0, 0x80)
+    assert _oracle_state(fused) == _oracle_state(ref)
+    assert fused.stats.evictions > 0 and fused.stats.dirty_flushes > 0
+    assert fused.peek_persistent(16 + 8, 16) == payloads[0]
+
+
+def test_empty_batch_and_no_op_halves():
+    """An empty batch, and ``payloads=None`` with ``mask=0``, change
+    nothing; payloads and cells of different lengths raise up front."""
+    region = NVMRegion(ORACLE_REGION)
+    before = _oracle_state(region)
+    region.store_cells([], None, 8, 1)
+    region.store_cells([], [], 8, 1)
+    region.store_cells([0, 24], None, 8, 0)
+    region.flush_lines([])
+    assert _oracle_state(region) == before
+    with pytest.raises(ValueError, match="payloads"):
+        region.store_cells([0, 24], [b"x" * 16], 8, 1)
+    assert _oracle_state(region) == before
+
+
+def _events(region):
+    seen = []
+    region.observe(lambda *event: seen.append(event))
+    return seen
+
+
+WEAR_CONFIG = SimConfig(
+    cache=CacheConfig(size_bytes=1024, line_size=64, associativity=2)
+)
+CELLS = [24 * i for i in range(1, 30)]
+PAYLOADS = [bytes([i]) * 16 for i in range(1, 30)]
+LINES = sorted({c // 64 for c in CELLS} | {(c + 23) // 64 for c in CELLS})
+
+
+def _both_primitives(region):
+    region.store_cells(CELLS, PAYLOADS, 8, 1)
+    region.flush_lines(LINES)
+
+
+def _both_loops(region):
+    _loop_store(region, CELLS, PAYLOADS, 8, 1)
+    _loop_flush(region, LINES)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: NVMRegion(ORACLE_REGION, SimConfig(latency=ODD_LATENCY)),
+        lambda: RawBackend(ORACLE_REGION),
+        lambda: WearLevelledRegion(ORACLE_REGION, WEAR_CONFIG, rotate_every=8),
+    ],
+    ids=["sim", "raw", "wear-levelled"],
+)
+def test_observed_primitives_emit_the_loops_events(make):
+    """With an observer attached (and on a WearLevelledRegion, which
+    remaps addresses) the primitives run the loop: the same (kind, addr,
+    size) events in the same order, and the same end state."""
+    fused, looped = make(), make()
+    fused_events, looped_events = _events(fused), _events(looped)
+    _both_primitives(fused)
+    _both_loops(looped)
+    assert fused_events == looped_events
+    # a write and a commit per cell, a flush per line (wear leveling's
+    # rotations add writes of their own)
+    assert len(fused_events) >= 2 * len(CELLS) + len(LINES)
+    assert fused.stats.as_dict() == looped.stats.as_dict()
+    assert fused.peek_persistent(0, ORACLE_REGION) == looped.peek_persistent(
+        0, ORACLE_REGION
+    )
+    assert fused.peek_volatile(0, ORACLE_REGION) == looped.peek_volatile(
+        0, ORACLE_REGION
+    )
+
+
+@pytest.mark.parametrize("backend", ["sim", "raw"])
+@pytest.mark.parametrize("after", [1, 2, 3, 30, 57, 58, 59, 70])
+def test_armed_crash_fires_where_the_loop_fires(backend, after):
+    """An armed crash makes the primitives run the loop, so the power
+    failure fires before the same event, leaving the same images."""
+    def make():
+        if backend == "raw":
+            return RawBackend(ORACLE_REGION)
+        return NVMRegion(ORACLE_REGION, SimConfig(latency=ODD_LATENCY))
+
+    outcomes = []
+    for run in (_both_primitives, _both_loops):
+        region = make()
+        region.arm_crash(after)
+        try:
+            run(region)
+            fired = False
+        except SimulatedPowerFailure:
+            fired = True
+        outcomes.append(
+            (
+                fired,
+                region.stats.as_dict(),
+                region.peek_volatile(0, ORACLE_REGION),
+                region.peek_persistent(0, ORACLE_REGION),
+            )
+        )
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == (after <= 2 * len(CELLS) + len(LINES))
+
+
+def _raw_state(region):
+    return (
+        sorted(region._dirty),
+        region.stats.as_dict(),
+        region.peek_volatile(0, ORACLE_REGION),
+        region.peek_persistent(0, ORACLE_REGION),
+    )
+
+
+@pytest.mark.parametrize("mask", [1, 0x100])
+def test_raw_backend_native_stores_match_loop(monkeypatch, mask):
+    """RawBackend's native path leaves the loop's dirty-line set,
+    counters and images after every step, with and without numpy:
+    sparse cells whose payloads straddle lines, a full flush, a
+    bitmap-only pass on clean lines (a multi-byte mask too), a partial
+    flush and a payload-only pass."""
+    steps = [
+        ("store", CELLS[1::4], PAYLOADS[1::4], 8, mask),
+        ("flush", LINES),
+        ("store", CELLS[::3], None, 0, mask << 1),
+        ("flush", LINES[::2]),
+        ("store", CELLS[1::2], PAYLOADS[1::2], 8, 0),
+    ]
+    for flag in ("0", "1"):
+        monkeypatch.setenv("REPRO_NO_NUMPY", flag)
+        native, looped = RawBackend(ORACLE_REGION), RawBackend(ORACLE_REGION)
+        for kind, *args in steps:
+            if kind == "store":
+                native.store_cells(*args)
+                _loop_store(looped, *args)
+            else:
+                native.flush_lines(*args)
+                _loop_flush(looped, *args)
+            assert _raw_state(native) == _raw_state(looped)
+        assert native._dirty
+
+
+# ----------------------------------------------------------------------
+# the batch hash
+
+
+def _family(monkeypatch, no_numpy: bool) -> HashFamily:
+    monkeypatch.setenv("REPRO_NO_NUMPY", "1" if no_numpy else "0")
+    return HashFamily(seed=0xC0FFEE)
+
+
+@pytest.mark.parametrize("no_numpy", [False, True], ids=["numpy", "no-numpy"])
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    width=st.sampled_from([8, 16, 1, 5, 12, 24]),
+    n=st.sampled_from([0, 1, _NP_MIN_HASH - 1, _NP_MIN_HASH, _NP_MIN_HASH + 1, 300]),
+    index=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hash_many_matches_scalar_function(
+    monkeypatch, no_numpy, width, n, index, seed
+):
+    """Key widths of 8 and 16 bytes and others (a short last word is
+    zero-padded), empty input, both sides of the cut-off, with numpy
+    and under REPRO_NO_NUMPY=1: bit-for-bit the scalar function."""
+    family = _family(monkeypatch, no_numpy)
+    rng = random.Random(seed)
+    keys = [rng.randbytes(width) for _ in range(n)]
+    function = HashFamily(seed=0xC0FFEE).function(index)
+    assert family.hash_many(index, keys) == [function(key) for key in keys]
+
+
+@pytest.mark.parametrize("no_numpy", [False, True], ids=["numpy", "no-numpy"])
+def test_hash_many_mixed_widths_and_path_choice(monkeypatch, no_numpy):
+    """A uniform batch at the cut-off takes numpy unless
+    REPRO_NO_NUMPY=1; a mixed-width batch and a batch below the cut-off
+    run the scalar function."""
+    family = _family(monkeypatch, no_numpy)
+    rounds = []
+    numpy_rounds = functions._splitmix64_np
+
+    def counted(x):
+        rounds.append(len(x))
+        return numpy_rounds(x)
+
+    monkeypatch.setattr(functions, "_splitmix64_np", counted)
+    rng = random.Random(5)
+    uniform = [rng.randbytes(8) for _ in range(_NP_MIN_HASH)]
+    mixed = [rng.randbytes(rng.choice([8, 16, 3])) for _ in range(2 * _NP_MIN_HASH)]
+    function = family.function(1)
+    assert family.hash_many(1, uniform) == [function(key) for key in uniform]
+    assert rounds == ([] if no_numpy else [_NP_MIN_HASH] * 2)
+    rounds.clear()
+    assert family.hash_many(1, mixed) == [function(key) for key in mixed]
+    assert family.hash_many(1, uniform[:-1]) == [function(key) for key in uniform[:-1]]
+    assert family.hash_many(1, []) == []
+    assert rounds == []

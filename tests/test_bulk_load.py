@@ -1,23 +1,27 @@
 """Tests for the bulk-loading fast path."""
 
+import pytest
 
 from tests.conftest import random_items, small_region
 
-from repro import GroupHashTable, bulk_load
+from repro import GroupHashTable, RawBackend, bulk_load
 
 
-def build(n_cells=512, group_size=32):
-    region = small_region()
-    return region, GroupHashTable(region, n_cells, group_size=group_size)
+def build(n_cells=512, group_size=32, n_hash_functions=1, region=None):
+    region = region or small_region()
+    return region, GroupHashTable(
+        region, n_cells, group_size=group_size, n_hash_functions=n_hash_functions
+    )
 
 
-def test_bulk_load_equivalent_to_inserts():
+@pytest.mark.parametrize("n_hash_functions", [1, 2])
+def test_bulk_load_equivalent_to_inserts(n_hash_functions):
     """Same items, same order → cell-for-cell identical table."""
     items = random_items(300, seed=1)
-    r1, incremental = build()
+    r1, incremental = build(n_hash_functions=n_hash_functions)
     for k, v in items:
         incremental.insert(k, v)
-    r2, bulk = build()
+    r2, bulk = build(n_hash_functions=n_hash_functions)
     rejected = bulk_load(bulk, items)
     assert rejected == []
     assert bulk.count == incremental.count
@@ -116,3 +120,57 @@ def test_normal_operations_after_bulk_load():
     table.reattach()
     table.recover()
     assert table.check_count()
+
+
+@pytest.mark.parametrize("n_hash_functions", [1, 2])
+def test_bulk_load_overflow_walks_every_hash_function(n_hash_functions):
+    """240 keys on 256 cells with groups of 8 overflow: an item whose
+    home cell and group are full under the first hash function tries the
+    next, as ``insert`` does, so both reject the same items and build
+    the same images (a bulk load that tried only the first function
+    rejected 23 items here where two-function inserts rejected 16)."""
+    items = random_items(240, seed=11)
+    r1, incremental = build(256, 8, n_hash_functions)
+    inserted = [incremental.insert(k, v) for k, v in items]
+    r2, bulk = build(256, 8, n_hash_functions)
+    rejected = bulk_load(bulk, items)
+    assert rejected == [item for item, ok in zip(items, inserted) if not ok]
+    assert len(rejected) == {1: 23, 2: 16}[n_hash_functions]
+    assert bulk.count == incremental.count
+    for a1, a2 in zip(incremental._iter_cell_addrs(), bulk._iter_cell_addrs()):
+        assert r1.peek_volatile(a1, 24) == r2.peek_volatile(a2, 24)
+
+
+@pytest.mark.parametrize("backend", ["sim", "raw"])
+def test_bulk_load_checks_widths_before_storing(backend):
+    """One 5-byte key anywhere in the batch raises ValueError before any
+    store: both images, the stats and the count stay as they were (the
+    check used to run per write, halfway through the stores, leaving set
+    bitmaps, count 0 and unpersisted ranges behind)."""
+    region = small_region() if backend == "sim" else RawBackend(4 << 20)
+    _, table = build(region=region)
+    items = random_items(40, seed=12)
+    items[25] = (b"\x01" * 5, items[25][1])
+    stats = region.stats.as_dict()
+    size = region.size
+    volatile = region.peek_volatile(0, size)
+    persistent = region.peek_persistent(0, size)
+    with pytest.raises(ValueError, match="item must be 8\\+8 bytes"):
+        bulk_load(table, items)
+    assert region.stats.as_dict() == stats
+    assert region.peek_volatile(0, size) == volatile
+    assert region.peek_persistent(0, size) == persistent
+    assert table.count == 0
+    assert region.unpersisted_ranges() == []
+    assert table.integrity_violations() == []
+
+
+def test_bulk_load_accepts_a_generator():
+    """Any iterable of items loads like the list of them."""
+    items = random_items(200, seed=13)
+    r1, from_list = build()
+    r2, from_generator = build()
+    assert bulk_load(from_list, items) == []
+    assert bulk_load(from_generator, (item for item in items)) == []
+    assert r1.stats.as_dict() == r2.stats.as_dict()
+    assert dict(from_generator.items()) == dict(items)
