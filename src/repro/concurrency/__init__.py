@@ -6,9 +6,10 @@ without giving up determinism, as one simulation kernel:
 
 - :mod:`repro.concurrency.kernel` — the seeded :class:`Kernel` every
   multi-client driver runs on: generator clients resumed smallest clock
-  first (seeded tie-break) plus a simulated-time event heap whose events
-  wake blocked clients. A run is a pure function of (clients, events,
-  seed), so cells cache and crash-matrix replays are bit-for-bit;
+  first (seeded tie-break) and simulated-time events that wake blocked
+  clients, both on one agenda heap. A run is a pure function of
+  (clients, events, seed), so cells cache and crash-matrix replays are
+  bit-for-bit;
 - :mod:`repro.concurrency.oracle` — the :class:`ShadowOracle` the
   scheduler, the serving driver and the mixed runner all check against;
 - :mod:`repro.concurrency.locks` — volatile group/bucket-level

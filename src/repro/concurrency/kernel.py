@@ -7,6 +7,12 @@ permutation), but first fires any timed event due no later than that
 clock. Contention is the case with no timed events; serving arms its
 doorbells as events and blocks clients on their replies. A run is a
 pure function of (clients, events, seed) — DESIGN.md decision 14.
+
+Timed events and runnable clients share one agenda heap, so a step
+costs O(log(clients + armed events)). An event is ``(t_ns, 0,
+arming_seq, event)`` and a client ``(clock, 1, priority, client)``:
+at equal times events sort first, then by arming order or seeded
+priority. Blocked and finished clients are not on the agenda.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ BLOCK = object()
 
 
 class Kernel:
-    """One run's clocks, seeded priorities and timed-event heap.
+    """One run's clocks, seeded priorities and agenda heap.
 
     ``salt`` keeps each driver's interleaving its own for one seed.
     ``running`` is the client whose step is executing (``None`` between
@@ -33,52 +39,69 @@ class Kernel:
         self.clock = [0.0] * n_clients
         order = list(range(n_clients))
         random.Random((seed << 6) ^ salt).shuffle(order)
-        self._priority = [order.index(client) for client in range(n_clients)]
-        self._heap: list[tuple[float, int, Any]] = []
+        self._priority = [0] * n_clients
+        for rank, client in enumerate(order):
+            self._priority[client] = rank
+        # every clock is 0.0, so the list in priority order is a heap
+        self._agenda: list[tuple] = [
+            (0.0, 1, rank, client) for rank, client in enumerate(order)
+        ]
         self._seq = itertools.count()
-        self._ready = set(range(n_clients))
+        self._blocked: set[int] = set()
         self._pending: dict[int, Any] = {}
         self.running: int | None = None
 
     def at(self, t_ns: float, event: Any) -> None:
         """Fire ``event`` at simulated time ``t_ns`` (ties in arming order)."""
-        heapq.heappush(self._heap, (t_ns, next(self._seq), event))
+        heapq.heappush(self._agenda, (t_ns, 0, next(self._seq), event))
 
     def wake(self, client: int, t_ns: float, payload: Any = None) -> None:
         """Resume a blocked ``client`` at ``t_ns``; its ``yield BLOCK``
-        evaluates to ``payload``."""
+        evaluates to ``payload``. Raises ``ValueError`` unless ``client``
+        is blocked and ``t_ns`` is not before its clock."""
+        if client not in self._blocked:
+            raise ValueError(f"wake of client {client}, which is not blocked")
+        if t_ns < self.clock[client]:
+            raise ValueError(
+                f"wake of client {client} at {t_ns} ns, before its clock "
+                f"{self.clock[client]} ns"
+            )
+        self._blocked.remove(client)
         self.clock[client] = t_ns
         self._pending[client] = payload
-        self._ready.add(client)
+        heapq.heappush(self._agenda, (t_ns, 1, self._priority[client], client))
 
     def run(
         self, clients: list, on_event: Callable[[float, Any], None] | None = None
     ) -> None:
         """Drive ``clients`` (generators indexed like ``clock``) to
-        completion, calling ``on_event(t_ns, event)`` as events fall due."""
-        clock, priority = self.clock, self._priority
-        heap, ready, pending = self._heap, self._ready, self._pending
+        completion, calling ``on_event(t_ns, event)`` as events fall due.
+        Raises ``RuntimeError`` when clients stay blocked with nothing
+        left to wake them."""
+        clock, agenda = self.clock, self._agenda
+        blocked, pending = self._blocked, self._pending
+        heappop, heappush = heapq.heappop, heapq.heappush
         alive = len(clients)
         while alive:
-            client = (
-                min(ready, key=lambda c: (clock[c], priority[c])) if ready else None
-            )
-            if heap and (client is None or heap[0][0] <= clock[client]):
-                t_ns, _, event = heapq.heappop(heap)
-                on_event(t_ns, event)
+            if not agenda:
+                raise RuntimeError(
+                    "deadlock: clients blocked with no doorbell armed "
+                    f"(blocked: {sorted(blocked)})"
+                )
+            t_ns, is_client, rank, item = heappop(agenda)
+            if not is_client:
+                on_event(t_ns, item)
                 continue
-            if client is None:
-                raise RuntimeError("deadlock: clients blocked with no doorbell armed")
-            self.running = client
+            self.running = item
             try:
-                step = clients[client].send(pending.pop(client, None))
+                step = clients[item].send(pending.pop(item, None))
             except StopIteration:
                 alive -= 1
-                ready.discard(client)
                 continue
             finally:
                 self.running = None
             if step is BLOCK:
-                ready.discard(client)
+                blocked.add(item)
             else:
-                clock[client] += step
+                clock[item] = t_ns = clock[item] + step
+                heappush(agenda, (t_ns, 1, rank, item))
