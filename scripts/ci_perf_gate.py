@@ -6,8 +6,7 @@ and cell by cell (cells match on their full frozen-spec dict). Each
 matched baseline cell within a relative tolerance or exactly, and
 **invariants**, checked on every fresh cell with no baseline needed (a
 missing field fails; a failing cell prints its minimal failing event
-prefix and flight-recorder dump). Simulated metrics are deterministic
-and gate hard; wall-clock ``throughput`` lines only warn.
+prefix and flight-recorder dump).
 
 In every section a baseline cell missing from the fresh run fails (a
 shrunken grid must not turn the gate green), a section-level ``ok``
@@ -46,7 +45,7 @@ class Gate:
         print(f"ok: {message}")
 
     def warn(self, message: str) -> None:
-        """Print one non-gating regression warning."""
+        """Print one non-gating warning."""
         self.warnings += 1
         print(f"WARN: {message}")
 
@@ -69,17 +68,17 @@ class Gate:
 @dataclass(frozen=True)
 class Metric:
     """One per-cell comparison against the baseline cell, skipped where
-    the field is absent (a growth timeline cell has no abort rate).
+    the baseline lacks the field (a growth timeline cell has no abort
+    rate); a fresh cell that lacks it fails.
 
     ``worse`` names the regression direction (``"down"``: lower is a
     regression, e.g. throughput; ``"up"``: higher is, e.g. latency;
     ``"exact"``: any difference is, e.g. a digest); ``tolerance`` is the
-    relative drift allowed that way; non-``gating`` metrics only warn."""
+    relative drift allowed that way."""
 
     path: str
     worse: str
     tolerance: float
-    gating: bool = True
 
 
 @dataclass(frozen=True)
@@ -99,10 +98,6 @@ def equals(path: str, want) -> Invariant:
 
 #: per-section checks: each Metric against the baseline cell, each Invariant alone
 SECTION_METRICS: dict[str, tuple[Metric | Invariant, ...]] = {
-    "throughput": (
-        Metric("fill.wall_ops_per_s", "down", 0.2, gating=False),
-        Metric("query.wall_ops_per_s", "down", 0.2, gating=False),
-    ),
     "contention": (
         Metric("throughput_kops", "down", 0.10),
         Metric("total.p99", "up", 0.25),
@@ -299,23 +294,26 @@ def check_invariants(
 def compare_cells(
     gate: Gate, where: str, metrics, base_cell: dict, fresh_cell: dict
 ) -> int:
-    """Compare every applicable metric of one matched cell pair;
-    returns the number of comparisons made."""
+    """Compare every metric the baseline cell holds with the fresh
+    cell's value (missing or non-numeric there fails); returns the
+    number of comparisons made."""
     compared = 0
     for metric in metrics:
         was = dig(base_cell, metric.path)
+        if was is None:
+            continue
         now = dig(fresh_cell, metric.path)
+        compared += 1
         if metric.worse == "exact":
-            if was is None:
-                continue
-            compared += 1
             gate.check(
                 now == was, f"{where} {metric.path}: {now} vs baseline {was} [exact]"
             )
             continue
         if not isinstance(was, (int, float)) or not isinstance(now, (int, float)):
+            gate.fail(
+                f"{where} {metric.path}: {now!r} vs baseline {was!r} [not a number]"
+            )
             continue
-        compared += 1
         if was == 0:
             # relative drift is undefined at a zero baseline; any move
             # off zero in the bad direction is reported as a regression
@@ -333,12 +331,7 @@ def compare_cells(
             f"{where} {metric.path}: {shown}"
             f" [tolerance {metric.tolerance:.0%} {metric.worse}]"
         )
-        if not regressed:
-            gate.ok(line)
-        elif metric.gating:
-            gate.fail(line)
-        else:
-            gate.warn(line + " (wall-clock, non-gating)")
+        gate.check(not regressed, line)
     return compared
 
 

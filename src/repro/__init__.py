@@ -27,15 +27,11 @@ Quickstart::
 
 from repro.core import (
     DirectoryTable,
-    ExpansionError,
     GroupHashTable,
     GroupLayout,
-    GrowableTable,
     ShardedTable,
     SplitError,
     bulk_load,
-    expand_group_table,
-    insert_with_expansion,
     recover_group_table,
 )
 from repro.nvm import (
@@ -87,8 +83,6 @@ __all__ = [
     "CrashReport",
     "CuckooHashTable",
     "DirectoryTable",
-    "ExpansionError",
-    "GrowableTable",
     "SplitError",
     "KVStore",
     "LevelHashTable",
@@ -99,8 +93,6 @@ __all__ = [
     "WearMap",
     "WearReport",
     "bulk_load",
-    "expand_group_table",
-    "insert_with_expansion",
     "GroupHashTable",
     "GroupLayout",
     "ItemSpec",

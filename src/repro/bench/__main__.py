@@ -20,10 +20,8 @@ import time
 from repro.bench.config import SCALES
 from repro.bench.experiments import (
     ablations,
-    backends,
     contention,
     crashmatrix,
-    engine as engine_exp,
     fig2,
     fig5,
     fig6,
@@ -36,12 +34,12 @@ from repro.bench.experiments import (
     serving,
     sweep_lf,
     table3,
-    throughput,
     timeline,
     writes,
 )
 from repro.bench.report import hrule
 
+#: every experiment, in paper order (the order ``all`` runs them in)
 EXPERIMENTS = {
     "fig2": fig2.run,
     "fig5": fig5.run,
@@ -49,25 +47,18 @@ EXPERIMENTS = {
     "fig7": fig7.run,
     "fig8": fig8.run,
     "table3": table3.run,
+    "writes": writes.run,
     "ablations": ablations.run,
     "sweep": sweep_lf.run,
-    "writes": writes.run,
-    "growth": growth.run,
-    "mixed": mixed.run,
     "negative": negative.run,
-    "backends": backends.run,
-    "engine": engine_exp.run,
+    "mixed": mixed.run,
+    "growth": growth.run,
     "contention": contention.run,
-    "crashmatrix": crashmatrix.run,
     "serving": serving.run,
-    "profile": profile_exp.run,
-    "throughput": throughput.run,
     "timeline": timeline.run,
+    "crashmatrix": crashmatrix.run,
+    "profile": profile_exp.run,
 }
-
-#: experiments that measure wall-clock and therefore build their own
-#: engines (or none) — the CLI's engine flags do not apply to them
-_SELF_TIMED = {"backends", "engine"}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -163,15 +154,7 @@ def main(argv: list[str] | None = None) -> int:
     from repro.bench.engine import Engine
 
     scale = SCALES["tiny"] if args.quick else SCALES[args.scale]
-    names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    # run in paper order when "all"
-    if args.experiment == "all":
-        names = [
-            "fig2", "fig5", "fig6", "fig7", "fig8", "table3",
-            "writes", "ablations", "sweep", "negative", "mixed",
-            "growth", "contention", "serving", "timeline", "throughput",
-            "crashmatrix", "profile", "backends", "engine",
-        ]
+    names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
 
     jobs = args.jobs if args.jobs is not None else os.cpu_count() or 1
     no_cache = args.no_cache or bool(os.environ.get(NO_CACHE_ENV))
@@ -182,9 +165,7 @@ def main(argv: list[str] | None = None) -> int:
     for name in names:
         start = time.perf_counter()
         runner = EXPERIMENTS[name]
-        if name in _SELF_TIMED:
-            result = runner(scale, seed=args.seed)
-        elif name == "crashmatrix":
+        if name == "crashmatrix":
             result = runner(
                 scale,
                 seed=args.seed,

@@ -9,9 +9,9 @@ same deterministic op stream:
 - **incremental** — a :class:`~repro.core.DirectoryTable` splits one
   full segment at a time, so growth cost lands on the few ops that
   trigger splits and ``during-split p99`` is the tail a client sees;
-- **legacy** — :class:`~repro.core.GrowableTable` in ``rebuild`` mode
-  re-inserts the whole table into a doubled one, so the triggering op
-  absorbs the entire pause.
+- **legacy** — a single :class:`~repro.core.GroupHashTable` that, when
+  an insert fails, re-inserts the whole table into a doubled one, so
+  the triggering op absorbs the entire pause.
 
 The headline claim (asserted by ``tests/test_growth.py`` and reported
 here) is that the during-split p99 stays strictly below the legacy

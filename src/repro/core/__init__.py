@@ -14,8 +14,7 @@
 - :class:`~repro.core.directory.DirectoryTable` grows incrementally: a
   directory of fixed-size group-hash segments where a full segment
   splits alone and publishes with one 8-byte atomic pointer swing —
-  the online replacement for the stop-the-world rebuild that
-  :class:`~repro.core.resize.GrowableTable` keeps as a shim/baseline.
+  the repository's answer to the paper's "needs to be expanded" signal.
 """
 
 from repro.core.bulk import bulk_load
@@ -23,25 +22,15 @@ from repro.core.directory import DirectoryTable, SplitError
 from repro.core.group_hash import GroupHashTable
 from repro.core.layout import GroupLayout
 from repro.core.recovery import recover_group_table, recover_table
-from repro.core.resize import (
-    ExpansionError,
-    GrowableTable,
-    expand_group_table,
-    insert_with_expansion,
-)
 from repro.core.sharded import ShardedTable
 
 __all__ = [
     "DirectoryTable",
-    "ExpansionError",
     "GroupHashTable",
     "GroupLayout",
-    "GrowableTable",
     "ShardedTable",
     "SplitError",
     "bulk_load",
-    "expand_group_table",
-    "insert_with_expansion",
     "recover_group_table",
     "recover_table",
 ]

@@ -1,9 +1,9 @@
 """Incremental growth: a directory of group-hash segments.
 
 The paper stops at "the capacity of the hash table needs to be
-expanded"; ``core/resize.py`` originally filled that gap with a
-stop-the-world rebuild — every item re-inserted into a fresh table, a
-pause proportional to the whole table. This module retires that design
+expanded". The obvious answer is a stop-the-world rebuild — every item
+re-inserted into a fresh table, a pause proportional to the whole table
+(the ``growth`` experiment's legacy baseline). This module avoids it
 the way Dash (Lu et al., VLDB 2020) does for persistent-memory
 extendible hashing: the table becomes a **directory** of fixed-size
 **segments**, where each segment is a complete, unmodified
@@ -105,7 +105,6 @@ class DirectoryTable:
         n_hash_functions: int = 1,
         seed: int = 0x5EED,
         max_split_attempts: int = 8,
-        _adopt: GroupHashTable | None = None,
     ) -> None:
         if max_split_attempts < 1:
             raise ValueError("max_split_attempts must be positive")
@@ -124,24 +123,16 @@ class DirectoryTable:
         #: flight — reconciled (kept or abandoned) on reattach
         self._pending_dir: tuple[int, int] | None = None
 
-        if _adopt is not None:
-            # wrap one existing table as a depth-0 directory
-            region = _adopt.region
-            spec = _adopt.spec
-            seed = _adopt.family.seed
-            segments = [_adopt]
-        else:
-            if n_cells <= 0:
-                raise ValueError("n_cells must be positive")
-            if segment_cells < 2:
-                raise ValueError("segment_cells must be at least 2")
-            segment_cells = min(segment_cells, n_cells + (n_cells & 1))
-            segment_cells += segment_cells & 1
-            n_segments = 1
-            while n_segments * segment_cells < n_cells:
-                n_segments *= 2
-            group_size = group_size or _auto_group_size(segment_cells)
-            segments = None  # built after the root block, below
+        if n_cells <= 0:
+            raise ValueError("n_cells must be positive")
+        if segment_cells < 2:
+            raise ValueError("segment_cells must be at least 2")
+        segment_cells = min(segment_cells, n_cells + (n_cells & 1))
+        segment_cells += segment_cells & 1
+        n_segments = 1
+        while n_segments * segment_cells < n_cells:
+            n_segments *= 2
+        group_size = group_size or _auto_group_size(segment_cells)
 
         self.region = region
         self.spec = spec or ItemSpec()
@@ -156,18 +147,17 @@ class DirectoryTable:
         self._root_word_addr = self._root_addr + 8
         region.write_u64(self._root_addr, _DIR_MAGIC)
 
-        if segments is None:
-            segments = [
-                GroupHashTable(
-                    region,
-                    segment_cells,
-                    self.spec,
-                    group_size=group_size,
-                    n_hash_functions=n_hash_functions,
-                    seed=seed,
-                )
-                for _ in range(n_segments)
-            ]
+        segments = [
+            GroupHashTable(
+                region,
+                segment_cells,
+                self.spec,
+                group_size=group_size,
+                n_hash_functions=n_hash_functions,
+                seed=seed,
+            )
+            for _ in range(n_segments)
+        ]
 
         #: volatile object map: segment info-block address -> table.
         #: The address *is* the identity — it is what directory entries
@@ -192,17 +182,6 @@ class DirectoryTable:
             region.write_u64(self._dir_base + 8 * i, addrs[i % len(addrs)])
         region.persist(self._dir_base, 8 << depth)
         self._write_root(self._dir_base, depth)
-
-    @classmethod
-    def adopt(
-        cls, table: GroupHashTable, *, max_split_attempts: int = 8
-    ) -> "DirectoryTable":
-        """Wrap an existing single table as a depth-0 directory, in the
-        same region, without touching its items. The table becomes the
-        sole segment; the first overflow splits it instead of rebuilding."""
-        return cls(
-            table.region, _adopt=table, max_split_attempts=max_split_attempts
-        )
 
     def _segment_footprint(self, seg: GroupHashTable) -> int:
         """Bytes one segment pins in the region (info block + levels)."""

@@ -20,7 +20,6 @@ SCRIPTS = ROOT / "scripts"
 
 #: every committed baseline CI gates against, one per gated section
 BASELINES = (
-    "bench_throughput.json",
     "bench_contention.json",
     "bench_timeline.json",
     "bench_serving.json",
@@ -178,24 +177,6 @@ def test_perf_gate_fails_on_missing_baseline_cell(tmp_path, capsys):
     assert "missing from fresh run" in capsys.readouterr().out
 
 
-def test_perf_gate_wall_clock_only_warns(tmp_path, capsys):
-    cell = {
-        "spec": {"scheme": "group", "backend": "raw", "batch": 0},
-        "fill": {"wall_ops_per_s": 1000.0},
-        "query": {"wall_ops_per_s": 1000.0},
-    }
-    base = {"throughput": {"cells": [cell]}}
-    slow = {
-        "throughput": {
-            "cells": [dict(cell, fill={"wall_ops_per_s": 100.0})]
-        }
-    }
-    assert _run(tmp_path, slow, base) == 0
-    out = capsys.readouterr().out
-    assert "WARN: throughput/group/raw b0 fill.wall_ops_per_s" in out
-    assert "non-gating" in out
-
-
 def test_perf_gate_gates_on_health_failure(tmp_path, capsys):
     fresh = _timeline_dump(status="fail", spike=2000.0)
     base = _timeline_dump()
@@ -237,6 +218,35 @@ def test_perf_gate_serving_catches_dead_fast_path(tmp_path, capsys):
     # the location-cache path silently never firing must not pass
     assert _run(tmp_path, _serving_dump(one_sided=0), _serving_dump()) == 1
     assert "one_sided_reads" in capsys.readouterr().out
+
+
+def test_perf_gate_fails_when_fresh_cell_lost_a_baseline_metric(tmp_path, capsys):
+    # a fresh cell that stopped reporting what the baseline gates on
+    # must not pass by comparing nothing
+    fresh = _serving_dump()
+    cell = fresh["serving"]["cells"][0]
+    for path in ("throughput_kops", "wrong_answers", "shadow_failures"):
+        del cell[path]
+    cell["total"] = {}
+    cell["one_sided_reads"] = "n/a"
+    assert _run(tmp_path, fresh, _serving_dump()) == 1
+    out = capsys.readouterr().out
+    for path in (
+        "throughput_kops",
+        "total.p99",
+        "wrong_answers",
+        "shadow_failures",
+        "one_sided_reads",
+    ):
+        assert f"FAIL: serving/64c b8 +loc {path}: " in out
+    assert "gate passed" not in out
+
+
+def test_perf_gate_skips_metrics_the_baseline_lacks(tmp_path, capsys):
+    base = _serving_dump()
+    del base["serving"]["cells"][0]["one_sided_reads"]
+    assert _run(tmp_path, _serving_dump(), base) == 0
+    assert "one_sided_reads" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("dump", [_contention_dump, _serving_dump])

@@ -118,24 +118,6 @@ def test_delete_update_and_routing_after_splits():
     assert table.check_count()
 
 
-def test_adopt_wraps_existing_table_without_moving_items():
-    region = small_region()
-    base = GroupHashTable(region, 64, ItemSpec(), group_size=8, seed=7)
-    model = {}
-    for k, v in random_items(30, seed=9):
-        if base.insert(k, v):
-            model[k] = v
-    table = DirectoryTable.adopt(base)
-    assert table.global_depth == 0
-    assert table.n_segments == 1
-    assert dict(table.items()) == model
-    # overflow now splits the adopted table instead of failing
-    extra = fill(table, 60, seed=10)
-    model.update(extra)
-    assert table.splits >= 1
-    assert dict(table.items()) == model
-
-
 def test_doubling_abandons_the_retired_directory_array():
     region, table = build(n_cells=64, segment_cells=16)
     assert region.abandoned_bytes == 0

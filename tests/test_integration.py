@@ -15,7 +15,6 @@ from repro import (
     SimulatedPowerFailure,
     UndoLog,
     WearLevelledRegion,
-    expand_group_table,
     random_schedule,
 )
 from repro.kv import KVStore
@@ -103,19 +102,24 @@ def test_group_hashing_on_every_technology():
     assert times["pcm"] > times["stt-mram"]
 
 
-def test_expand_preserves_kv_reachability():
-    """Expansion + KV locators: after growing the index, every record
-    must still resolve (locators are values, so re-insertion keeps
-    them)."""
+def test_index_splits_preserve_kv_reachability():
+    """Growth + KV locators: after the growable index has split, every
+    record must still resolve (locators are values, so a split's rehash
+    keeps them)."""
     region = NVMRegion(8 << 20)
-    store = KVStore(region, n_index_cells=256, group_size=16,
-                    slab_bytes_per_class=32 * 1024)
+    store = KVStore(
+        region,
+        n_index_cells=64,
+        growable=True,
+        segment_cells=16,
+        slab_bytes_per_class=32 * 1024,
+    )
     model = {}
     for i in range(100):
         key, value = f"key{i}".encode(), f"value-{i}".encode()
-        if store.put(key, value):
-            model[key] = value
-    store.index = expand_group_table(store.index)
+        assert store.put(key, value)
+        model[key] = value
+    assert store.index.splits >= 2
     for key, value in model.items():
         assert store.get(key) == value
 
