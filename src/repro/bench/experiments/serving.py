@@ -45,7 +45,7 @@ from repro.bench.runner import fill_to_load_factor
 from repro.concurrency import table_digest
 from repro.core import ShardedTable
 from repro.nvm import CacheConfig, NVMRegion, SimConfig, TECHNOLOGY_PRESETS
-from repro.obs import MetricsRegistry, WindowSeries
+from repro.obs import FlightRecorder, MetricsRegistry, WindowSeries
 from repro.serving import NETWORK_PRESETS, run_serving
 from repro.tables.cell import CellCodec
 
@@ -174,10 +174,11 @@ def run_serving_spec(spec: ServingSpec) -> dict:
 
     This is the engine executor for :class:`ServingSpec` (runs in pool
     workers): build the sharded table, fill it, build the per-client
-    YCSB streams, run the serving driver with metrics + timeline
-    attached, and flatten the result — shadow verdict, stale-hint
-    counters, final-table digest and the rebucketed queue-depth/latency
-    timeline — into plain JSON."""
+    YCSB streams, run the serving driver with metrics, timeline and a
+    flight recorder attached, and flatten the result — shadow verdict
+    (with the recorder's dump when it failed), stale-hint counters,
+    final-table digest and the rebucketed queue-depth/latency timeline —
+    into plain JSON."""
     trace = make_trace(spec.trace, seed=spec.seed)
     table = build_serving_table(spec)
     stream = trace.unique_items()
@@ -187,6 +188,7 @@ def run_serving_spec(spec: ServingSpec) -> dict:
     streams = build_client_streams(spec, resident, stream)
     metrics = MetricsRegistry()
     timeline = WindowSeries(spec.window_ns)
+    recorder = FlightRecorder()
     splits_before = table.splits
     result = run_serving(
         table,
@@ -200,6 +202,7 @@ def run_serving_spec(spec: ServingSpec) -> dict:
         seed=spec.seed,
         metrics=metrics,
         timeline=timeline,
+        recorder=recorder,
     )
     windows = timeline.windows()
     if len(windows) > MAX_TIMELINE_WINDOWS:
@@ -226,6 +229,7 @@ def run_serving_spec(spec: ServingSpec) -> dict:
         "splits_during_run": table.splits - splits_before,
         "shadow_failures": len(result.check_failures),
         "check_failures": list(result.check_failures),
+        "failure_context": result.failure_context,
         "table_digest": table_digest(table),
         "fill_count": len(resident),
         "fill_failures": fill_failures,

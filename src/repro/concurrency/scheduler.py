@@ -201,6 +201,11 @@ class _Scheduler:
         stats = getattr(self.region, "stats", None)
         self._stats = stats if isinstance(self.region, NVMRegion) else None
         self._raw_ns = 0.0
+        # sink names resolved once per run; a client's latency histogram
+        # is bound at its first commit, so one that never commits is
+        # never created
+        self._latency_hists: list = [None] * n
+        self._ops_channels = [f"client{client}.ops" for client in range(n)]
 
     # ------------------------------------------------------------------
     # clock + event attribution
@@ -221,12 +226,13 @@ class _Scheduler:
             events[kind] = events.get(kind, 0) + 1
             if kind == "write":
                 events["bytes"] += size
-        if self.timeline is not None:
-            self.timeline.record_event(kind, self._now(), addr, size)
-        if self.recorder is not None:
-            self.recorder.record_event(
-                kind=kind, addr=addr, client=client, t_ns=self._now()
-            )
+        timeline, recorder = self.timeline, self.recorder
+        if timeline is not None or recorder is not None:
+            now = self._now()
+            if timeline is not None:
+                timeline.record_event(kind, now, addr, size)
+            if recorder is not None:
+                recorder.record_event(kind=kind, addr=addr, client=client, t_ns=now)
         if self._stats is None:
             self._raw_ns += RAW_EVENT_NS
 
@@ -373,16 +379,23 @@ class _Scheduler:
         index = len(self.committed) - 1
         self.per_client[client].record(latency, index)
         self.overall.record(latency, index)
-        if self.metrics is not None:
-            self.metrics.histogram(f"ccl.latency.client{client}").record(latency)
-        if self.timeline is not None:
+        metrics = self.metrics
+        if metrics is not None:
+            hist = self._latency_hists[client]
+            if hist is None:
+                hist = self._latency_hists[client] = metrics.histogram(
+                    f"ccl.latency.client{client}"
+                )
+            hist.record(latency)
+        timeline = self.timeline
+        if timeline is not None:
             now = self._now()
-            self.timeline.observe("latency", now, latency)
-            self.timeline.inc("ops", now)
-            self.timeline.inc(f"client{client}.ops", now)
+            timeline.observe("latency", now, latency)
+            timeline.inc("ops", now)
+            timeline.inc(self._ops_channels[client], now)
             load = getattr(self.table, "load_factor", None)
             if load is not None:
-                self.timeline.set_gauge("occupancy", now, load)
+                timeline.set_gauge("occupancy", now, load)
         if self.recorder is not None:
             self.recorder.record_op(
                 client,

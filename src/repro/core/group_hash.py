@@ -53,6 +53,10 @@ PEEK_WINDOW_CELLS = 4096
 _OCCUPIED_FLAG = bytes(1 if b & OCCUPIED_BIT else 0 for b in range(256))
 _FREE_FLAG = bytes(1 - flag for flag in _OCCUPIED_FLAG)
 
+#: probe-length histograms (cells read per insert / per lookup)
+_INSERT_PROBES = "group.insert_probe_cells"
+_FIND_PROBES = "group.find_probe_cells"
+
 
 def _touched_lines(cells, offset: int, size: int, line_size: int) -> list[int]:
     """Ascending line numbers spanned by the extents ``[cell + offset,
@@ -104,6 +108,7 @@ class GroupHashTable(PersistentHashTable):
         if n_hash_functions < 1:
             raise ValueError("need at least one hash function")
         super().__init__(region, n_cells, spec, log=None, seed=seed)
+        self._insert_probes = self._find_probes = None
         self.group_size = group_size
         self.n_hash_functions = n_hash_functions
         self._hashes = [self.family.function(i) for i in range(n_hash_functions)]
@@ -124,6 +129,12 @@ class GroupHashTable(PersistentHashTable):
         region.write_u64(self._info_addr + 24, group_size)
         region.write_u64(self._info_addr + 32, n_level)
         self._finish_layout()
+
+    def instrument(self, tracer=None, metrics=None) -> None:
+        super().instrument(tracer, metrics)
+        # the probe-length histograms of ``metrics``, bound at their
+        # first record (a histogram nothing recorded is never created)
+        self._insert_probes = self._find_probes = None
 
     @property
     def capacity(self) -> int:
@@ -199,7 +210,10 @@ class GroupHashTable(PersistentHashTable):
                 tr.pop()
             if l1_free:
                 if mx is not None:
-                    mx.histogram("group.insert_probe_cells").record(1)
+                    hist = self._insert_probes
+                    if hist is None:
+                        hist = self._insert_probes = mx.histogram(_INSERT_PROBES)
+                    hist.record(1)
                     mx.counter("group.l1_inserts").inc()
                 self._install(addr1, key, value)
                 return True
@@ -213,7 +227,10 @@ class GroupHashTable(PersistentHashTable):
                 tr.pop()
             if i is not None:
                 if mx is not None:
-                    mx.histogram("group.insert_probe_cells").record(2 + i)
+                    hist = self._insert_probes
+                    if hist is None:
+                        hist = self._insert_probes = mx.histogram(_INSERT_PROBES)
+                    hist.record(2 + i)
                     mx.counter("group.overflow_inserts").inc()
                     mx.heat("group.overflow_heat").touch(k // group_size)
                 self._install(group_base + i * cell_size, key, value)
@@ -256,7 +273,10 @@ class GroupHashTable(PersistentHashTable):
                 tr.pop()
             if raw[0] & OCCUPIED_BIT and raw[HEADER_SIZE:] == key:
                 if mx is not None:
-                    mx.histogram("group.find_probe_cells").record(1)
+                    hist = self._find_probes
+                    if hist is None:
+                        hist = self._find_probes = mx.histogram(_FIND_PROBES)
+                    hist.record(1)
                 return addr1
             if tr is not None:
                 tr.push("l2_probe")
@@ -269,13 +289,17 @@ class GroupHashTable(PersistentHashTable):
                 tr.pop()
             if i is not None:
                 if mx is not None:
-                    mx.histogram("group.find_probe_cells").record(2 + i)
+                    hist = self._find_probes
+                    if hist is None:
+                        hist = self._find_probes = mx.histogram(_FIND_PROBES)
+                    hist.record(2 + i)
                     mx.heat("group.overflow_heat").touch(k // group_size)
                 return group_base + i * cell_size
         if mx is not None:
-            mx.histogram("group.find_probe_cells").record(
-                (1 + group_size) * self.n_hash_functions
-            )
+            hist = self._find_probes
+            if hist is None:
+                hist = self._find_probes = mx.histogram(_FIND_PROBES)
+            hist.record((1 + group_size) * self.n_hash_functions)
         return None
 
     # ------------------------------------------------------------------

@@ -143,12 +143,19 @@ class Histogram:
 
     def record(self, value: float) -> None:
         """Add one observation."""
-        self.counts[bucket_index(value)] += 1
+        # bucket_index, inlined: every probe and every op records here
+        v = int(value)
+        i = v.bit_length() if v > 0 else 0
+        if i >= N_BUCKETS:
+            i = N_BUCKETS - 1
+        self.counts[i] += 1
         self.count += 1
         self.total += value
-        if self.min is None or value < self.min:
+        low = self.min
+        if low is None or value < low:
             self.min = value
-        if self.max is None or value > self.max:
+        high = self.max
+        if high is None or value > high:
             self.max = value
 
     @property
@@ -354,15 +361,21 @@ class MetricsRegistry:
         }
 
     def _get(self, section: str, cls: type, name: str):
+        # a name lives in one section only (``_add`` keeps it so), so a
+        # hit in its own section needs no conflict scan
+        inst = self._sections[section].get(name)
+        if inst is None:
+            inst = self._add(section, name, cls())
+        return inst
+
+    def _add(self, section: str, name: str, inst):
+        """Register a new instrument, refusing a name another kind holds."""
         for other, instruments in self._sections.items():
             if other != section and name in instruments:
                 raise ValueError(
                     f"metric {name!r} already registered under {other!r}"
                 )
-        instruments = self._sections[section]
-        inst = instruments.get(name)
-        if inst is None:
-            inst = instruments[name] = cls()
+        self._sections[section][name] = inst
         return inst
 
     def counter(self, name: str) -> Counter:
@@ -404,11 +417,13 @@ class MetricsRegistry:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "MetricsRegistry":
-        """Rebuild a registry from :meth:`as_dict` output."""
+        """Rebuild a registry from :meth:`as_dict` output. A name that
+        appears under two kinds raises :class:`ValueError`, as asking
+        for it as the second kind would."""
         registry = cls()
         for section, inst_cls in _KINDS:
             for name, data in payload.get(section, {}).items():
-                registry._sections[section][name] = inst_cls.from_dict(data)
+                registry._add(section, name, inst_cls.from_dict(data))
         return registry
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

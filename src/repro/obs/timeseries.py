@@ -70,35 +70,51 @@ class WindowSeries:
     # recording
 
     def _channel(self, section: str, name: str) -> dict:
-        bound = self._kind_of.get(name)
-        if bound is None:
+        """Channel ``name`` of ``section``, created on first use — the
+        only place a name is bound to a kind. The recording calls look
+        a channel up in their own section first and come here only for
+        a name they have not seen, so a name bound to another kind
+        still raises."""
+        channels = getattr(self, f"_{section}")
+        channel = channels.get(name)
+        if channel is None:
+            bound = self._kind_of.get(name)
+            if bound is not None:
+                raise ValueError(
+                    f"channel {name!r} already recorded under {bound!r}"
+                )
             self._kind_of[name] = section
-        elif bound != section:
-            raise ValueError(
-                f"channel {name!r} already recorded under {bound!r}"
-            )
-        return getattr(self, f"_{section}")
+            channel = channels[name] = {}
+        return channel
 
     def window_of(self, t_ns: float) -> int:
         """Window index containing simulated time ``t_ns``."""
         return int(t_ns // self.window_ns)
 
+    # The recording calls inline window_of: each runs once or more per
+    # simulated op, and a call would be most of its cost.
+
     def inc(self, name: str, t_ns: float, n: int = 1) -> None:
         """Add ``n`` to counter channel ``name`` in ``t_ns``'s window."""
-        channel = self._channel("counters", name).setdefault(name, {})
-        w = self.window_of(t_ns)
+        channel = self._counters.get(name)
+        if channel is None:
+            channel = self._channel("counters", name)
+        w = int(t_ns // self.window_ns)
         channel[w] = channel.get(w, 0) + n
 
     def set_gauge(self, name: str, t_ns: float, value: float) -> None:
         """Record a point sample (last write in a window wins)."""
-        self._channel("gauges", name).setdefault(name, {})[
-            self.window_of(t_ns)
-        ] = float(value)
+        channel = self._gauges.get(name)
+        if channel is None:
+            channel = self._channel("gauges", name)
+        channel[int(t_ns // self.window_ns)] = float(value)
 
     def observe(self, name: str, t_ns: float, value: float) -> None:
         """Add one observation to histogram channel ``name``."""
-        channel = self._channel("histograms", name).setdefault(name, {})
-        w = self.window_of(t_ns)
+        channel = self._histograms.get(name)
+        if channel is None:
+            channel = self._channel("histograms", name)
+        w = int(t_ns // self.window_ns)
         hist = channel.get(w)
         if hist is None:
             hist = channel[w] = Histogram()
@@ -106,8 +122,10 @@ class WindowSeries:
 
     def touch(self, name: str, t_ns: float, key: int, n: int = 1) -> None:
         """Add ``n`` hits to ``key`` in heat channel ``name``."""
-        channel = self._channel("heats", name).setdefault(name, {})
-        w = self.window_of(t_ns)
+        channel = self._heats.get(name)
+        if channel is None:
+            channel = self._channel("heats", name)
+        w = int(t_ns // self.window_ns)
         heat = channel.get(w)
         if heat is None:
             heat = channel[w] = Heat()
@@ -147,7 +165,9 @@ class WindowSeries:
         """Counter ``name``'s per-window values over ``windows``
         (default: every touched window), 0 where it never fired."""
         channel = self._counters.get(name, {})
-        return [channel.get(w, 0) for w in (windows or self.windows())]
+        if windows is None:
+            windows = self.windows()
+        return [channel.get(w, 0) for w in windows]
 
     def gauge_values(
         self, name: str, windows: "list[int] | None" = None
@@ -158,7 +178,9 @@ class WindowSeries:
         channel = self._gauges.get(name, {})
         out: list[float] = []
         last = 0.0
-        for w in windows or self.windows():
+        if windows is None:
+            windows = self.windows()
+        for w in windows:
             last = channel.get(w, last)
             out.append(last)
         return out
@@ -170,7 +192,9 @@ class WindowSeries:
         windows with no observations)."""
         channel = self._histograms.get(name, {})
         out = []
-        for w in windows or self.windows():
+        if windows is None:
+            windows = self.windows()
+        for w in windows:
             hist = channel.get(w)
             out.append(hist.quantile(q) if hist is not None else 0.0)
         return out
@@ -181,7 +205,9 @@ class WindowSeries:
         """Heat ``name``'s per-window total hits."""
         channel = self._heats.get(name, {})
         out = []
-        for w in windows or self.windows():
+        if windows is None:
+            windows = self.windows()
+        for w in windows:
             heat = channel.get(w)
             out.append(heat.total if heat is not None else 0)
         return out
@@ -207,21 +233,21 @@ class WindowSeries:
                 f"into window_ns {self.window_ns}"
             )
         for name, channel in other._counters.items():
-            mine = self._channel("counters", name).setdefault(name, {})
+            mine = self._channel("counters", name)
             for w, n in channel.items():
                 mine[w] = mine.get(w, 0) + n
         for name, channel in other._gauges.items():
-            mine = self._channel("gauges", name).setdefault(name, {})
+            mine = self._channel("gauges", name)
             for w, v in channel.items():
                 mine[w] = max(mine.get(w, v), v)
         for name, channel in other._histograms.items():
-            mine = self._channel("histograms", name).setdefault(name, {})
+            mine = self._channel("histograms", name)
             for w, hist in channel.items():
                 if w not in mine:
                     mine[w] = Histogram()
                 mine[w].merge(hist)
         for name, channel in other._heats.items():
-            mine = self._channel("heats", name).setdefault(name, {})
+            mine = self._channel("heats", name)
             for w, heat in channel.items():
                 if w not in mine:
                     mine[w] = Heat()
@@ -239,20 +265,20 @@ class WindowSeries:
             out.merge(self)
             return out
         for name, channel in self._counters.items():
-            mine = out._channel("counters", name).setdefault(name, {})
+            mine = out._channel("counters", name)
             for w, n in channel.items():
                 mine[w // factor] = mine.get(w // factor, 0) + n
         for name, channel in self._gauges.items():
-            mine = out._channel("gauges", name).setdefault(name, {})
+            mine = out._channel("gauges", name)
             for w, v in channel.items():
                 mine[w // factor] = max(mine.get(w // factor, v), v)
         for name, channel in self._histograms.items():
-            mine = out._channel("histograms", name).setdefault(name, {})
+            mine = out._channel("histograms", name)
             for w, hist in channel.items():
                 target = mine.setdefault(w // factor, Histogram())
                 target.merge(hist)
         for name, channel in self._heats.items():
-            mine = out._channel("heats", name).setdefault(name, {})
+            mine = out._channel("heats", name)
             for w, heat in channel.items():
                 target = mine.setdefault(w // factor, Heat())
                 target.merge(heat)
@@ -290,21 +316,21 @@ class WindowSeries:
         """Rebuild a series from :meth:`as_dict` output."""
         series = cls(payload["window_ns"])
         for name, channel in payload.get("counters", {}).items():
-            series._channel("counters", name)[name] = {
-                int(w): int(n) for w, n in channel.items()
-            }
+            series._channel("counters", name).update(
+                (int(w), int(n)) for w, n in channel.items()
+            )
         for name, channel in payload.get("gauges", {}).items():
-            series._channel("gauges", name)[name] = {
-                int(w): float(v) for w, v in channel.items()
-            }
+            series._channel("gauges", name).update(
+                (int(w), float(v)) for w, v in channel.items()
+            )
         for name, channel in payload.get("histograms", {}).items():
-            series._channel("histograms", name)[name] = {
-                int(w): Histogram.from_dict(data) for w, data in channel.items()
-            }
+            series._channel("histograms", name).update(
+                (int(w), Histogram.from_dict(data)) for w, data in channel.items()
+            )
         for name, channel in payload.get("heats", {}).items():
-            series._channel("heats", name)[name] = {
-                int(w): Heat.from_dict(data) for w, data in channel.items()
-            }
+            series._channel("heats", name).update(
+                (int(w), Heat.from_dict(data)) for w, data in channel.items()
+            )
         return series
 
     # ------------------------------------------------------------------
@@ -418,8 +444,16 @@ class WindowSampler:
         self._stats = None
 
     def _on_event(self, kind: str, addr: int, size: int) -> None:
-        self.series.record_event(kind, self._now(), addr, size)
-        if self._clock is None and self._stats is None:
+        # _now() inlined: this runs once per persist event
+        clock, stats = self._clock, self._stats
+        if clock is not None:
+            now = clock()
+        elif stats is not None:
+            now = float(stats.sim_time_ns)
+        else:
+            now = self._surrogate_ns
+        self.series.record_event(kind, now, addr, size)
+        if clock is None and stats is None:
             self._surrogate_ns += SURROGATE_EVENT_NS
 
     def _on_wear(self, line: int) -> None:

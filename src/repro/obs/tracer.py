@@ -31,6 +31,7 @@ no-observer fast path back once the last one leaves).
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Callable
 
 #: MemStats fields each span snapshots, in capture order; sim_time_ns
@@ -60,15 +61,17 @@ _DELTA_NAMES = (
 
 _ZEROS = (0.0,) + (0,) * (len(_FIELDS) - 1)
 
+#: a span's stats snapshot: every ``_FIELDS`` stat, in that order, in
+#: one call (zeros while no backend is attached)
+_snapshot = attrgetter(*_FIELDS)
+
 
 class _Frame:
     """One live (un-popped) span."""
 
-    __slots__ = ("name", "path", "start", "ev_write", "ev_flush", "ev_fence",
-                 "child_ns")
+    __slots__ = ("path", "start", "ev_write", "ev_flush", "ev_fence", "child_ns")
 
-    def __init__(self, name: str, path: str, start: tuple) -> None:
-        self.name = name
+    def __init__(self, path: str, start: tuple) -> None:
         self.path = path
         self.start = start
         #: persist events observed while this frame (or a child) is live;
@@ -151,6 +154,8 @@ class Tracer:
         self._attached: list[tuple[Any, Callable]] = []
         self._stack: list[_Frame] = []
         self._agg: dict[str, _SpanAgg] = {}
+        #: span path per (parent path, name), built once per distinct pair
+        self._paths: dict[tuple[str, str], str] = {}
         self.keep_events = keep_events
         self.max_events = max_events
         #: completed span instances: (path, depth, start_ns, dur_ns,
@@ -193,22 +198,6 @@ class Tracer:
         else:
             frame.ev_fence += 1
 
-    def _grab(self) -> tuple:
-        src = self._src
-        if src is None:
-            return _ZEROS
-        stats = src.stats
-        return (
-            stats.sim_time_ns,
-            stats.cache_hits,
-            stats.cache_misses,
-            stats.reads,
-            stats.writes,
-            stats.flushes,
-            stats.fences,
-            stats.nvm_bytes_written,
-        )
-
     # ------------------------------------------------------------------
     # span recording
 
@@ -222,33 +211,52 @@ class Tracer:
         pairs instead of :meth:`span` to keep the disabled path free of
         allocations."""
         stack = self._stack
-        path = f"{stack[-1].path}/{name}" if stack else name
-        stack.append(_Frame(name, path, self._grab()))
+        if stack:
+            parent = stack[-1].path
+            path = self._paths.get((parent, name))
+            if path is None:
+                path = self._paths[parent, name] = f"{parent}/{name}"
+        else:
+            path = name
+        src = self._src
+        start = _ZEROS if src is None else _snapshot(src.stats)
+        stack.append(_Frame(path, start))
 
     def pop(self) -> None:
         """Close the innermost span and account its deltas."""
-        frame = self._stack.pop()
-        end = self._grab()
+        stack = self._stack
+        frame = stack.pop()
+        src = self._src
+        end = _ZEROS if src is None else _snapshot(src.stats)
         start = frame.start
         agg = self._agg.get(frame.path)
         if agg is None:
             agg = self._agg[frame.path] = _SpanAgg()
         agg.count += 1
+        # one add per _FIELDS entry, in _FIELDS order (unrolled: pop
+        # runs for every span of every op)
         deltas = agg.deltas
-        for i in range(len(_FIELDS)):
-            deltas[i] += end[i] - start[i]
         dur = end[0] - start[0]
+        deltas[0] += dur
+        deltas[1] += end[1] - start[1]
+        deltas[2] += end[2] - start[2]
+        deltas[3] += end[3] - start[3]
+        deltas[4] += end[4] - start[4]
+        deltas[5] += end[5] - start[5]
+        deltas[6] += end[6] - start[6]
+        deltas[7] += end[7] - start[7]
         agg.self_ns += dur - frame.child_ns
-        agg.ev_write += frame.ev_write
-        agg.ev_flush += frame.ev_flush
-        agg.ev_fence += frame.ev_fence
-        stack = self._stack
         if stack:
-            parent = stack[-1]
-            parent.child_ns += dur
-            parent.ev_write += frame.ev_write
-            parent.ev_flush += frame.ev_flush
-            parent.ev_fence += frame.ev_fence
+            stack[-1].child_ns += dur
+        if frame.ev_write or frame.ev_flush or frame.ev_fence:
+            agg.ev_write += frame.ev_write
+            agg.ev_flush += frame.ev_flush
+            agg.ev_fence += frame.ev_fence
+            if stack:
+                parent = stack[-1]
+                parent.ev_write += frame.ev_write
+                parent.ev_flush += frame.ev_flush
+                parent.ev_fence += frame.ev_fence
         if self.keep_events:
             if len(self._events) < self.max_events:
                 self._events.append(

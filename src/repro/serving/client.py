@@ -95,6 +95,10 @@ class ServingResult:
     max_queue_depth: int = 0
     #: shadow-model violations (must be empty)
     check_failures: list[str] = field(default_factory=list)
+    #: flight-recorder dump (last-N ops per client) captured when a
+    #: shadow check failed; ``None`` on clean runs or when no recorder
+    #: was attached
+    failure_context: dict | None = None
 
     @property
     def ok(self) -> bool:
@@ -116,7 +120,16 @@ class _ServingDriver:
     """One run's mutable state; :func:`run_serving` drives it."""
 
     def __init__(
-        self, router, streams, *, location_cache, seed, shadow, metrics, timeline
+        self,
+        router,
+        streams,
+        *,
+        location_cache,
+        seed,
+        shadow,
+        metrics,
+        timeline,
+        recorder,
     ) -> None:
         table = router.table
         self.router = router
@@ -125,6 +138,10 @@ class _ServingDriver:
         self.use_cache = location_cache
         self.metrics = metrics
         self.timeline = timeline
+        self.recorder = recorder
+        # ``serving.*`` instruments of ``metrics``, each bound at its
+        # first record (one nothing recorded is never created)
+        self._one_sided = self._hint_misses = self._latency = None
         self.oracle = ShadowOracle(shadow if shadow is not None else table.items())
         n = len(streams)
         self.kernel = Kernel(n, seed, salt=0x5E21)
@@ -161,7 +178,12 @@ class _ServingDriver:
                     value, probe_cost = self._one_sided_probe(hint, op.key)
                     self.one_sided_reads += 1
                     if self.metrics is not None:
-                        self.metrics.counter("serving.one_sided").inc()
+                        counter = self._one_sided
+                        if counter is None:
+                            counter = self._one_sided = self.metrics.counter(
+                                "serving.one_sided"
+                            )
+                        counter.inc()
                     yield probe_cost
                     if value is not None:
                         # a one-sided hit linearizes at its probe
@@ -180,7 +202,12 @@ class _ServingDriver:
                     retried = True
                     del cache[op.key]
                     if self.metrics is not None:
-                        self.metrics.counter("serving.hint_misses").inc()
+                        counter = self._hint_misses
+                        if counter is None:
+                            counter = self._hint_misses = self.metrics.counter(
+                                "serving.hint_misses"
+                            )
+                        counter.inc()
             payload = (
                 self._write_bytes
                 if op.kind in ("insert", "update")
@@ -254,10 +281,24 @@ class _ServingDriver:
         self.per_client[client].record(latency, index)
         self.overall.record(latency, index)
         if self.metrics is not None:
-            self.metrics.histogram("serving.latency").record(latency)
+            hist = self._latency
+            if hist is None:
+                hist = self._latency = self.metrics.histogram("serving.latency")
+            hist.record(latency)
         if self.timeline is not None:
             self.timeline.observe("latency", done, latency)
             self.timeline.inc("ops", done)
+        if self.recorder is not None:
+            self.recorder.record_op(
+                client,
+                index=op_index,
+                kind=op.kind,
+                key=op.key.hex(),
+                ok=ok,
+                latency_ns=latency,
+                commit=index,
+                one_sided=one_sided,
+            )
 
     # ------------------------------------------------------------------
     # doorbells (the kernel's timed events)
@@ -297,6 +338,9 @@ class _ServingDriver:
         )
         oracle = self.oracle
         oracle.diff(self.table.items())
+        failure_context = None
+        if self.recorder is not None and (oracle.failures or self.wrong_answers):
+            failure_context = self.recorder.dump()
         return ServingResult(
             n_clients=len(self.streams),
             ops=sum(len(s) for s in self.streams),
@@ -313,6 +357,7 @@ class _ServingDriver:
             batched_ops=self.router.batched_ops,
             max_queue_depth=self.router.max_queue_depth,
             check_failures=oracle.failures,
+            failure_context=failure_context,
         )
 
 
@@ -330,6 +375,7 @@ def run_serving(
     shadow: dict[bytes, bytes] | None = None,
     metrics=None,
     timeline=None,
+    recorder=None,
 ) -> ServingResult:
     """Serve ``streams`` (one op list per remote client) against a
     :class:`~repro.core.ShardedTable` through the batching router.
@@ -341,7 +387,10 @@ def run_serving(
     ``location_cache`` off forces every query through the routed path
     (the caching ablation). ``metrics`` / ``timeline`` receive
     ``serving.*`` counters, queue-depth gauges and latency channels;
-    attaching them changes nothing about the interleaving. The result
+    ``recorder`` (a :class:`~repro.obs.FlightRecorder`) keeps the last-N
+    ops per client and is dumped into the result's ``failure_context``
+    when a shadow check fails. Attaching any of them changes nothing
+    about the interleaving. The result
     is a pure function of the arguments: same table state + streams +
     parameters + seed ⇒ identical interleaving, queue-depth timeline
     and final table bytes."""
@@ -363,5 +412,6 @@ def run_serving(
         shadow=shadow,
         metrics=metrics,
         timeline=timeline,
+        recorder=recorder,
     )
     return driver.run()

@@ -121,6 +121,11 @@ class Router:
         self._costed = [
             isinstance(table.backend.shard(i), NVMRegion) for i in range(n)
         ]
+        # sink names resolved once; each instrument is bound at its first
+        # record, so a run that never flushes creates no flush metrics
+        self._depth_channels = [f"shard{i}.queue_depth" for i in range(n)]
+        self._enqueued = None
+        self._flush_metrics = None
 
     # ------------------------------------------------------------------
     # shard clocks
@@ -158,10 +163,13 @@ class Router:
             self.max_queue_depth = depth
         now = request.enqueue_ns
         if self.metrics is not None:
-            self.metrics.counter("serving.enqueued").inc()
+            counter = self._enqueued
+            if counter is None:
+                counter = self._enqueued = self.metrics.counter("serving.enqueued")
+            counter.inc()
         if self.timeline is not None:
             self.timeline.inc("enqueued", now)
-            self.timeline.set_gauge(f"shard{shard}.queue_depth", now, depth)
+            self.timeline.set_gauge(self._depth_channels[shard], now, depth)
         if depth >= self.batch_max:
             return ("flush", now)
         if depth == 1:
@@ -213,15 +221,25 @@ class Router:
             replies.append(
                 ServedReply(request, result, location, start, end, delivery)
             )
-        if self.metrics is not None:
-            self.metrics.counter("serving.flushes").inc()
-            self.metrics.histogram("serving.batch_size").record(len(batch))
-            self.metrics.histogram("serving.service_ns").record(end - start)
-        if self.timeline is not None:
-            self.timeline.inc("flushes", end)
-            self.timeline.observe("batch_size", end, len(batch))
-            self.timeline.observe("service_ns", end, end - start)
-            self.timeline.set_gauge(f"shard{shard}.queue_depth", end, len(queue))
+        metrics = self.metrics
+        if metrics is not None:
+            bound = self._flush_metrics
+            if bound is None:
+                bound = self._flush_metrics = (
+                    metrics.counter("serving.flushes"),
+                    metrics.histogram("serving.batch_size"),
+                    metrics.histogram("serving.service_ns"),
+                )
+            flushes, batch_sizes, service = bound
+            flushes.inc()
+            batch_sizes.record(len(batch))
+            service.record(end - start)
+        timeline = self.timeline
+        if timeline is not None:
+            timeline.inc("flushes", end)
+            timeline.observe("batch_size", end, len(batch))
+            timeline.observe("service_ns", end, end - start)
+            timeline.set_gauge(self._depth_channels[shard], end, len(queue))
         followup = None
         if queue:
             if len(queue) >= self.batch_max:

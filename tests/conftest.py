@@ -9,8 +9,8 @@ import pytest
 from hypothesis import settings
 
 # A deep budget for property tests that leave max_examples to the
-# profile (the scan-primitive, recovery, batch-primitive and kernel
-# oracles): ``--hypothesis-profile=ci-deep``.
+# profile (the scan-primitive, recovery, batch-primitive, kernel and
+# observation-sink oracles): ``--hypothesis-profile=ci-deep``.
 # The default profile stays as it is for tier-1.
 settings.register_profile("ci-deep", max_examples=1000)
 

@@ -139,6 +139,11 @@ def test_registry_get_or_create_and_kind_conflict():
         reg.counter("probe")
 
 
+def test_registry_from_dict_rejects_a_name_under_two_kinds():
+    with pytest.raises(ValueError, match="'a' already registered"):
+        MetricsRegistry.from_dict({"counters": {"a": 1}, "gauges": {"a": 2.0}})
+
+
 def test_registry_merge_and_dict_roundtrip():
     a, b = MetricsRegistry(), MetricsRegistry()
     a.counter("ops").inc(2)

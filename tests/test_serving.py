@@ -21,7 +21,7 @@ from repro.bench.engine import Engine
 from repro.bench.experiments.serving import ServingSpec, run_serving_spec
 from repro.concurrency import ClientOp, table_digest
 from repro.core import ShardedTable
-from repro.obs import WindowSeries
+from repro.obs import FlightRecorder, WindowSeries
 from repro.serving import (
     LOOPBACK,
     NETWORK_PRESETS,
@@ -316,6 +316,43 @@ def test_shadow_oracle_detects_corruption():
     )
     assert not result.ok
     assert result.check_failures
+
+
+def test_failure_context_carries_the_flight_recorder(monkeypatch):
+    table = make_serving_table()
+    items = random_items(16, seed=8)
+    prefill(table, items)
+    # a table that answers every batched lookup with a wrong value
+    for shard in table.tables:
+        monkeypatch.setattr(
+            shard, "get_many", lambda keys: [b"\xee" * 8 for _ in keys]
+        )
+    streams = hot_streams(items, per_reader=6)
+    recorder = FlightRecorder(capacity=4)
+    result = run_serving(
+        table, streams, net=RDMA_DC, location_cache=False, seed=1, recorder=recorder
+    )
+    assert not result.ok
+    assert result.failure_context == recorder.dump()
+    assert result.failure_context["ops_seen"] == 12
+    for client in ("0", "1"):
+        ring = result.failure_context["ops"][client]
+        assert len(ring) == 4 and ring[-1]["index"] == 5
+        assert ring[-1]["kind"] == "query" and not ring[-1]["one_sided"]
+    # without a recorder the failed run carries no context
+    result = run_serving(table, streams, net=RDMA_DC, location_cache=False, seed=1)
+    assert not result.ok and result.failure_context is None
+
+
+def test_clean_run_with_a_recorder_carries_no_context():
+    table = make_serving_table()
+    items = random_items(16, seed=8)
+    prefill(table, items)
+    recorder = FlightRecorder()
+    streams = hot_streams(items, per_reader=6)
+    result = run_serving(table, streams, net=RDMA_DC, seed=1, recorder=recorder)
+    assert result.ok and result.failure_context is None
+    assert recorder.ops_seen == 12
 
 
 # ----------------------------------------------------------------------

@@ -78,6 +78,20 @@ def test_series_quantiles_and_heat_views():
     assert s.merged_heat("wear_heat").cells == {42: 4}
 
 
+def test_series_explicit_empty_window_list_means_no_windows():
+    s = WindowSeries(1_000.0)
+    s.inc("ops", 0.0)
+    s.set_gauge("occupancy", 0.0, 0.5)
+    s.observe("latency", 1_500.0, 7)
+    s.touch("wear_heat", 1_500.0, 42)
+    # an empty list is a request for no windows, not for the default
+    assert s.counter_values("ops", []) == []
+    assert s.gauge_values("occupancy", []) == []
+    assert s.quantile_values("latency", 0.5, []) == []
+    assert s.heat_totals("wear_heat", []) == []
+    assert s.counter_values("ops") == [1, 0]
+
+
 def test_series_record_event_routes_kinds():
     s = WindowSeries(1_000.0)
     for kind in ("write", "write", "flush", "fence"):
