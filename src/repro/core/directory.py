@@ -138,7 +138,10 @@ class DirectoryTable:
         self.spec = spec or ItemSpec()
         self.seed = seed
         self.family = HashFamily(seed)
-        self._dir_hash = HashFamily(seed ^ _DIR_SALT).function(0)
+        #: routing hash: ``_dir_hash`` per key, ``_dir_family.hash_many(0,
+        #: keys)`` per batch (bit-identical)
+        self._dir_family = HashFamily(seed ^ _DIR_SALT)
+        self._dir_hash = self._dir_family.function(0)
 
         # Root block: magic | root word. The root word is the only
         # mutable directory metadata and is always committed with a
@@ -595,15 +598,20 @@ class DirectoryTable:
             tr.push("recover")
         for seg in self._segments.values():
             recover_group_table(seg)
-        region = self.region
-        mask = (1 << self._depth) - 1
+        scan_ne_at = self.region.scan_ne_at
+        hash_many = self._dir_family.hash_many
+        base, mask = self._dir_base, (1 << self._depth) - 1
         swept = 0
         for addr, seg in self._segments.items():
-            for key, _ in list(seg.items()):
-                slot = self._dir_hash(key) & mask
-                if region.read_u64(self._dir_base + 8 * slot) != addr:
-                    seg.delete(key)
-                    swept += 1
+            keys = [key for key, _ in seg.items()]
+            slots = [base + 8 * (h & mask) for h in hash_many(0, keys)]
+            # the per-key loop's events: one costed directory read per
+            # key, each non-tenant deleted right after its read
+            start = 0
+            while (i := scan_ne_at(slots[start:], addr)) is not None:
+                seg.delete(keys[start + i])
+                swept += 1
+                start += i + 1
         if mx is not None:
             mx.counter("recovery.tenants_swept").inc(swept)
         if tr is not None:
@@ -629,14 +637,16 @@ class DirectoryTable:
         for addr, seg in self._segments.items():
             for p in seg.integrity_violations():
                 problems.append(f"segment@{addr}: {p}")
-            for key, _ in seg.items():
+            keys = [key for key, _ in seg.items()]
+            hashes = self._dir_family.hash_many(0, keys)
+            for key, h in zip(keys, hashes):
                 if key in seen:
                     problems.append(
                         f"key {key.hex()} stored in segments "
                         f"{seen[key]} and {addr}"
                     )
                 seen[key] = addr
-                slot = self._dir_hash(key) & mask
+                slot = h & mask
                 if entries[slot] != addr:
                     problems.append(
                         f"non-tenant: key {key.hex()} in segment {addr} "

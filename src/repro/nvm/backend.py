@@ -49,6 +49,8 @@ from repro.nvm.memory import (
     SimulatedPowerFailure,
     _MIN_BATCH,
     _U64,
+    _first_clear,
+    _first_ne,
     _flush_batch,
     _occupied_bitmap,
     _scan_torn_loop,
@@ -235,6 +237,13 @@ class MemoryBackend(Protocol):
         """Gather variant of :meth:`scan_clear_u64`; contract: the
         events of one :meth:`read_u64` per probed address, stopping at
         the first clear word."""
+        ...
+
+    def scan_ne_at(self, addrs, value: int) -> int | None:
+        """Index of the first address in ``addrs`` whose 8-byte word is
+        not ``value``, or None; contract: the events of one
+        :meth:`read_u64` per probed address, stopping at the first word
+        that differs — the directory's tenant check."""
         ...
 
     def scan_match_at(
@@ -731,12 +740,32 @@ class RawBackend(Observable):
             addr += stride
         return bitmap
 
+    def _in_range_prefix(self, addrs, size: int) -> int:
+        """How many leading addresses of ``addrs`` (non-empty) a
+        ``size``-byte read can load before one leaves the region — the
+        point where the reference loop of reads raises."""
+        if min(addrs) >= 0 and max(addrs) + size <= self.size:
+            return len(addrs)
+        limit = self.size - size
+        return next(i for i, addr in enumerate(addrs) if not 0 <= addr <= limit)
+
+    def _gather_fault(self, addr: int, probed: int, size: int) -> None:
+        """Count the ``probed`` reads the reference loop made before
+        ``addr`` and raise its :class:`IndexError` for ``addr``."""
+        stats = self.stats
+        stats.reads += probed
+        stats.bytes_read += size * probed
+        self._check_range(addr, size)
+
     def scan_occupied_at(self, addrs, mask: int = 1) -> int:
         """Gather occupancy bitmap over explicit header addresses; full
         scan, one read event per address."""
         n = len(addrs)
         if n == 0:
             return 0
+        ok = self._in_range_prefix(addrs, 8)
+        if ok < n:
+            self._gather_fault(addrs[ok], ok, 8)
         stats = self.stats
         stats.reads += n
         stats.bytes_read += 8 * n
@@ -829,26 +858,40 @@ class RawBackend(Observable):
         n = len(addrs)
         if n == 0:
             return None
+        ok = self._in_range_prefix(addrs, 8)
         found = None
-        probed = n
         np = self._np
-        if np is not None and n >= _NP_MIN_SCAN and mask < 256:
-            index = np.asarray(addrs, dtype=np.intp)
+        if np is not None and ok >= _NP_MIN_SCAN and mask < 256:
+            index = np.asarray(addrs[:ok], dtype=np.intp)
             hits = np.flatnonzero((self._np_u8[index] & mask) == 0)
             if hits.size:
                 found = int(hits[0])
-                probed = found + 1
         else:
-            volatile = self._volatile
-            unpack = _U64.unpack_from
-            for i, addr in enumerate(addrs):
-                if not unpack(volatile, addr)[0] & mask:
-                    found, probed = i, i + 1
-                    break
+            i = _first_clear(self._volatile, addrs[:ok], mask)
+            found = None if i < 0 else i
+        if found is None and ok < n:
+            self._gather_fault(addrs[ok], ok, 8)
+        probed = ok if found is None else found + 1
         stats = self.stats
         stats.reads += probed
         stats.bytes_read += 8 * probed
         return found
+
+    def scan_ne_at(self, addrs, value: int) -> int | None:
+        """First explicit address whose 8-byte word is not ``value``
+        (the directory's tenant check), with reference read accounting."""
+        n = len(addrs)
+        if n == 0:
+            return None
+        ok = self._in_range_prefix(addrs, 8)
+        i = _first_ne(self._volatile, addrs[:ok], value)
+        if i < 0 and ok < n:
+            self._gather_fault(addrs[ok], ok, 8)
+        probed = ok if i < 0 else i + 1
+        stats = self.stats
+        stats.reads += probed
+        stats.bytes_read += 8 * probed
+        return None if i < 0 else i
 
     def scan_match_at(
         self, addrs, key: bytes, *, mask: int = 1, key_offset: int = 8
@@ -859,37 +902,37 @@ class RawBackend(Observable):
         if n == 0:
             return None
         size = key_offset + len(key)
+        ok = self._in_range_prefix(addrs, size)
         found = None
-        probed = n
         np = self._np
+        index = None
         if (
             np is not None
-            and n >= _NP_MIN_SCAN
+            and ok >= _NP_MIN_SCAN
             and mask < 256
             and len(key) == 8
             and key_offset == 8
         ):
-            index = np.asarray(addrs, dtype=np.intp)
-            if not (index % 8).any():
-                occupied = (self._np_u8[index] & mask) != 0
-                keys = self._np_u64[(index + 8) >> 3]
-                hits = np.flatnonzero(
-                    occupied & (keys == int.from_bytes(key, "little"))
-                )
-                if hits.size:
-                    found = int(hits[0])
-                    probed = found + 1
-                stats = self.stats
-                stats.reads += probed
-                stats.bytes_read += size * probed
-                return found
-        volatile = self._volatile
-        for i, addr in enumerate(addrs):
-            if volatile[addr] & mask and (
-                volatile[addr + key_offset : addr + size] == key
-            ):
-                found, probed = i, i + 1
-                break
+            index = np.asarray(addrs[:ok], dtype=np.intp)
+            if (index % 8).any():
+                index = None
+        if index is not None:
+            occupied = (self._np_u8[index] & mask) != 0
+            keys = self._np_u64[(index + 8) >> 3]
+            hits = np.flatnonzero(occupied & (keys == int.from_bytes(key, "little")))
+            if hits.size:
+                found = int(hits[0])
+        else:
+            volatile = self._volatile
+            for i, addr in enumerate(addrs[:ok]):
+                if volatile[addr] & mask and (
+                    volatile[addr + key_offset : addr + size] == key
+                ):
+                    found = i
+                    break
+        if found is None and ok < n:
+            self._gather_fault(addrs[ok], ok, size)
+        probed = ok if found is None else found + 1
         stats = self.stats
         stats.reads += probed
         stats.bytes_read += size * probed
@@ -903,11 +946,25 @@ class RawBackend(Observable):
         n = len(pairs)
         if n == 0:
             return []
+        addrs = [addr for addr, _ in pairs]
+        keys = [key for _, key in pairs]
+        widest = key_offset + max(map(len, keys))
+        if min(addrs) < 0 or max(addrs) + widest > self.size:
+            # some pair may reach past the region: the reference loop
+            # reads pair by pair up to the first that does
+            total = 0
+            for i, (addr, key) in enumerate(pairs):
+                size = key_offset + len(key)
+                if addr < 0 or addr + size > self.size:
+                    stats = self.stats
+                    stats.reads += i
+                    stats.bytes_read += total
+                    self._check_range(addr, size)
+                total += size
         np = self._np
         if np is not None and n >= _NP_MIN_SCAN and mask < 256 and key_offset == 8:
-            keys = [key for _, key in pairs]
             if all(len(key) == 8 for key in keys):
-                index = np.asarray([addr for addr, _ in pairs], dtype=np.intp)
+                index = np.asarray(addrs, dtype=np.intp)
                 if not (index % 8).any():
                     occupied = (self._np_u8[index] & mask) != 0
                     stored = self._np_u64[(index + 8) >> 3]

@@ -111,6 +111,16 @@ def _first_clear(vol: bytearray, cells, mask: int) -> int:
     return -1
 
 
+def _first_ne(vol: bytearray, cells, value: int) -> int:
+    """Index of the first address of ``cells`` whose little-endian word
+    is not ``value``, or -1."""
+    unpack = _U64.unpack_from
+    for i, addr in enumerate(cells):
+        if unpack(vol, addr)[0] != value:
+            return i
+    return -1
+
+
 #: per byte mask, the ``bytes.translate`` table sending a header byte
 #: to 0xFF when it has no mask bit (a free cell) and to 0 when it has one
 _FREE_TABLES: dict[int, bytes] = {}
@@ -891,6 +901,25 @@ class NVMRegion(Observable):
         read_u64 = self.read_u64
         for i, addr in enumerate(addrs):
             if not read_u64(addr) & mask:
+                return i
+        return None
+
+    def scan_ne_at(self, addrs, value: int) -> int | None:
+        """Index of the first address in ``addrs`` whose 8-byte word is
+        not ``value``, or None.
+
+        The contract is the loop below: one :meth:`read_u64` per probed
+        address, stopping at the first word that differs — the
+        directory's tenant sweep, whose slot addresses repeat and come
+        in key order."""
+        addrs = list(addrs)
+        if self._gathered(addrs, 8):
+            i = _first_ne(self._volatile, addrs, value)
+            self._charge_reads(addrs if i < 0 else addrs[: i + 1], 8)
+            return None if i < 0 else i
+        read_u64 = self.read_u64
+        for i, addr in enumerate(addrs):
+            if read_u64(addr) != value:
                 return i
         return None
 

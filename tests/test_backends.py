@@ -194,6 +194,13 @@ def test_raw_scan_primitives_match_reference():
     missing = bytes([7]) * 8  # written but cell 7 is unoccupied
     assert sim.scan_match(sim_base, 24, 16, missing) is None
     assert raw.scan_match(raw_base, 24, 16, missing) is None
+    # tenant probe: headers 1 at cells 0, 3, 6, ...; first non-1 word
+    for ne_cells, expected in (([0, 3, 3, 6], None), ([0, 3, 4, 6], 2)):
+        assert (
+            sim.scan_ne_at([sim_base + 24 * i for i in ne_cells], 1)
+            == raw.scan_ne_at([raw_base + 24 * i for i in ne_cells], 1)
+            == expected
+        )
 
 
 def test_raw_scan_counts_reads_like_reference():
@@ -205,6 +212,12 @@ def test_raw_scan_counts_reads_like_reference():
     before_sim, before_raw = sim.stats.reads, raw.stats.reads
     sim.scan_clear_u64(sim.allocations[-1].addr, 24, 8)
     raw.scan_clear_u64(raw.allocations[-1].addr, 24, 8)
+    assert sim.stats.reads - before_sim == raw.stats.reads - before_raw == 6
+    # the tenant probe stops at the first word that is not 1 (cell 5)
+    before_sim, before_raw = sim.stats.reads, raw.stats.reads
+    for backend in (sim, raw):
+        base = backend.allocations[-1].addr
+        assert backend.scan_ne_at([base + 24 * i for i in range(8)], 1) == 5
     assert sim.stats.reads - before_sim == raw.stats.reads - before_raw == 6
 
 

@@ -26,6 +26,7 @@ from repro import (
     RawBackend,
     SimulatedPowerFailure,
     drop_all_schedule,
+    recover_group_table,
 )
 from repro.obs import MetricsRegistry
 
@@ -220,12 +221,16 @@ def test_root_swing_on_doubling_is_one_8_byte_persist():
 # crash safety across a split
 
 
-def _split_fixture(seed=7):
-    """Deterministically build a fresh table plus the one insert whose
-    execution performs at least one split (found by dry run)."""
+def _split_fixture(seed=7, *, doubles=None, backend=None):
+    """Deterministically build a fresh table plus the first insert whose
+    execution performs at least one split (found by dry run) — with
+    ``doubles`` set, the first whose split does or does not double the
+    directory. ``backend`` builds the region (default: raw)."""
 
     def fresh():
-        region = RawBackend(4 << 20, name="dir-crash")
+        region = (
+            backend() if backend else RawBackend(4 << 20, name="dir-crash")
+        )
         table = DirectoryTable(
             region, 64, ItemSpec(), segment_cells=16, seed=seed
         )
@@ -234,11 +239,14 @@ def _split_fixture(seed=7):
     items = random_items(200, seed=13)
     region, table = fresh()
     for index, (k, v) in enumerate(items):
-        splits = table.splits
+        splits, doublings = table.splits, table.doublings
         assert table.insert(k, v)
-        if table.splits > splits:
+        if table.splits > splits and doubles in (
+            None,
+            table.doublings > doublings,
+        ):
             return fresh, items[:index], items[index]
-    raise AssertionError("no split within 200 inserts")
+    raise AssertionError("no such split within 200 inserts")
 
 
 def test_mid_split_crash_recovers_old_or_new_state():
@@ -301,6 +309,80 @@ def test_mid_split_crash_recovers_old_or_new_state():
         # and the table still serves writes afterwards
         assert table.insert(b"\xfe" * 8, b"p" * 8) or True
         assert table.check_count()
+
+
+def _scalar_sweep(table):
+    """The tenant sweep as a per-key loop: one scalar directory hash and
+    one costed directory read per stored item, each non-tenant deleted
+    right after its read. Returns the number swept."""
+    region, mask = table.region, (1 << table.global_depth) - 1
+    swept = 0
+    for addr, seg in table._segments.items():
+        for key, _ in list(seg.items()):
+            slot = table._dir_hash(key) & mask
+            if region.read_u64(table._dir_base + 8 * slot) != addr:
+                seg.delete(key)
+                swept += 1
+    return swept
+
+
+@pytest.mark.parametrize("doubles", [False, True], ids=["split", "doubling"])
+def test_batched_tenant_sweep_matches_the_per_key_loop(doubles):
+    """At every crash boundary of a splitting insert, recovery's batched
+    sweep leaves what the per-key loop leaves on an identically crashed
+    twin: every counter (the simulated clock included), the cache's
+    resident and dirty lines, the tenants swept and the contents."""
+    fresh, prefix, (key, value) = _split_fixture(
+        doubles=doubles, backend=small_region
+    )
+
+    def crashed(boundary):
+        region, table = fresh()
+        for k, v in prefix:
+            table.insert(k, v)
+        region.arm_crash(boundary)
+        try:
+            table.insert(key, value)
+        except SimulatedPowerFailure:
+            pass
+        else:
+            return None  # past the insert's last event
+        region.crash(drop_all_schedule())
+        table.reattach()
+        metrics = MetricsRegistry()
+        table.instrument(None, metrics)
+        return region, table, metrics
+
+    def state(region, table, swept):
+        cache = region.cache
+        return (
+            region.stats.as_dict(),
+            sorted(cache.resident_lines()),
+            sorted(cache.dirty_lines()),
+            swept,
+            dict(table.items()),
+        )
+
+    swept_any = 0
+    boundary = 0
+    while True:
+        boundary += 1
+        batched = crashed(boundary)
+        if batched is None:
+            break
+        region, table, metrics = batched
+        table.recover()
+        got = state(
+            region, table, metrics.counter("recovery.tenants_swept").value
+        )
+        region, table, _ = crashed(boundary)
+        for seg in table._segments.values():
+            recover_group_table(seg)
+        want = state(region, table, _scalar_sweep(table))
+        assert got == want, f"boundary {boundary}"
+        swept_any += got[3] > 0
+    assert boundary > 10
+    assert swept_any, "no boundary left a non-tenant to sweep"
 
 
 def test_whole_table_crash_and_recovery_after_many_splits():

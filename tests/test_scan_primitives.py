@@ -12,7 +12,9 @@ availability.
 
 from __future__ import annotations
 
+import os
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -302,6 +304,60 @@ def test_whole_region_gather_parity(monkeypatch, mask):
     )
 
 
+def _raw(size: int, numpy: bool) -> RawBackend:
+    """A RawBackend on the numpy or the pure-Python scan paths."""
+    with mock.patch.dict(os.environ, {"REPRO_NO_NUMPY": "0" if numpy else "1"}):
+        backend = RawBackend(size)
+    assert (backend._np is not None) == numpy
+    return backend
+
+
+def _gather_outcome(backend, call):
+    """Result or IndexError message of ``call(backend)``, and its
+    ``(reads, bytes_read)`` delta."""
+    before = _counts(backend)
+    try:
+        outcome = ("ok", call(backend))
+    except IndexError as exc:
+        outcome = ("IndexError", str(exc))
+    return outcome, tuple(a - b for a, b in zip(_counts(backend), before))
+
+
+#: gathers that reach outside a 4 KiB region whose first cell holds
+#: header 3 and key 0x01..: short ones run the pure loops, the
+#: 40-address ones the numpy paths of the gathers that have one
+OUT_OF_RANGE_GATHERS = {
+    "clear_at-neg": lambda b: b.scan_clear_at([-8]),
+    "match_at-neg": lambda b: b.scan_match_at([-24], b"\0" * 8),
+    "pairs-neg": lambda b: b.scan_match_pairs([(-24, b"\0" * 8)]),
+    "ne_at-neg": lambda b: b.scan_ne_at([-8], 0),
+    "occupied_at-end": lambda b: b.scan_occupied_at([4096] * 40),
+    "occupied_at-tail": lambda b: b.scan_occupied_at([0] * 39 + [4090]),
+    "clear_at-tail": lambda b: b.scan_clear_at([0] * 39 + [-8], 2),
+    "match_at-tail": lambda b: b.scan_match_at([0] * 39 + [4088], b"\0" * 8),
+    "pairs-tail": lambda b: b.scan_match_pairs([(0, b"\0" * 8)] * 39 + [(-8, b"")]),
+    "ne_at-tail": lambda b: b.scan_ne_at([0] * 39 + [4089], 3),
+    # the probe stops before the bad address: no error
+    "ne_at-stops": lambda b: b.scan_ne_at([0, 8, -8], 3),
+    "match_at-stops": lambda b: b.scan_match_at([0, -8], b"\1" * 8),
+}
+
+
+@pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "pure"])
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE_GATHERS))
+def test_raw_gathers_raise_like_the_read_loop(name, numpy):
+    """A RawBackend gather reaching outside the region raises the
+    IndexError of the loop of reads, after counting the reads that loop
+    made — never reading the region's tail for a negative address."""
+    call = OUT_OF_RANGE_GATHERS[name]
+    backends = _raw(4096, numpy), _Ref(4096)
+    for backend in backends:
+        backend.write_u64(0, 3)
+        backend.write(8, b"\1" * 8)
+    raw, ref = (_gather_outcome(backend, call) for backend in backends)
+    assert raw == ref
+
+
 def test_no_numpy_env_flag(monkeypatch):
     """The fallback flag is honoured at construction time."""
     monkeypatch.setenv("REPRO_NO_NUMPY", "1")
@@ -344,6 +400,7 @@ PRIMITIVES = (
     "scan_probe",
     "scan_occupied_at",
     "scan_clear_at",
+    "scan_ne_at",
     "scan_match_at",
     "scan_match_pairs",
     "scan_torn",
@@ -429,7 +486,8 @@ def _scan_args(data, rng, name, keys):
     mask = data.draw(st.sampled_from([1, 3, 0x80, 0x100, 0x101, 1 << 40, -1]))
     stride = data.draw(st.sampled_from([4, 8, 12, 16, 24, 40, 72, 136]), label="stride")
     count = data.draw(st.integers(0, 24), label="count")
-    access = 8 if name.startswith(("scan_clear", "scan_occupied")) else 8 + len(key)
+    words = ("scan_clear", "scan_occupied", "scan_ne")
+    access = 8 if name.startswith(words) else 8 + len(key)
     if name == "scan_torn":
         sizes = st.sampled_from([1, 8, 12, access, access + 4])
         access = data.draw(sizes, label="size")
@@ -448,6 +506,10 @@ def _scan_args(data, rng, name, keys):
         gather = [rng.choice(pool) for _ in range(rng.randrange(25))]
         if name in ("scan_occupied_at", "scan_clear_at"):
             return window, (gather, mask), {}
+        if name == "scan_ne_at":
+            word = int.from_bytes(key[:8], "little")
+            value = data.draw(st.sampled_from([0, 1, 0x101, 1 << 40, word]))
+            return window, (gather, value), {}
         if name == "scan_match_at":
             return window, (gather, key), match
         return window, ([(a, rng.choice(mixed)) for a in gather],), match
@@ -522,6 +584,77 @@ def test_fused_scan_out_of_range_raises_like_loop():
             region.scan_occupied_at([0, ORACLE_REGION - 4])
     assert _oracle_state(regions[0]) == _oracle_state(regions[1])
     assert regions[0].stats.reads == 3
+
+
+NE_REGION = 1024
+
+#: backend kinds the tenant probe must agree with its read_u64 loop on
+NE_BACKENDS = {
+    "sim": lambda: NVMRegion(NE_REGION, SimConfig(cache=SMALL_CACHE)),
+    "wear-levelled": lambda: WearLevelledRegion(
+        NE_REGION, SimConfig(cache=SMALL_CACHE), rotate_every=8
+    ),
+    "raw-numpy": lambda: _raw(NE_REGION, True),
+    "raw-pure": lambda: _raw(NE_REGION, False),
+}
+
+
+def _ne_loop(backend, addrs, value):
+    """The probe's contract: one read_u64 per probed address."""
+    for i, addr in enumerate(addrs):
+        if backend.read_u64(addr) != value:
+            return i
+    return None
+
+
+@pytest.mark.parametrize("kind", sorted(NE_BACKENDS))
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_scan_ne_at_matches_read_u64_loop(kind, data):
+    """``scan_ne_at`` returns what a loop of ``read_u64`` returns — the
+    first address whose word differs, None, or the loop's IndexError —
+    and leaves every MemStats field as that loop does. The region is one
+    repeated byte, so any address away from the planted junk, aligned or
+    not, holds the same word: empty gathers, all-equal gathers, a first
+    word that differs, duplicates and out-of-range addresses all come
+    up."""
+    fill = data.draw(st.integers(0, 255), label="fill")
+    same = int.from_bytes(bytes([fill]) * 8, "little")
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    pool = [8 * rng.randrange(NE_REGION // 8) for _ in range(6)]
+    if data.draw(st.booleans(), label="unaligned"):
+        pool += [a + rng.randrange(1, 8) for a in pool[:2]]
+    # junk bytes inside some pooled words, so a word differs mid-gather
+    junk = [
+        (rng.choice(pool) + rng.randrange(8), rng.randrange(256))
+        for _ in range(data.draw(st.integers(0, 3), label="junk"))
+    ]
+    twins = NE_BACKENDS[kind](), NE_BACKENDS[kind]()
+    for backend in twins:
+        backend.write(0, bytes([fill]) * NE_REGION)
+        for addr, byte in junk:
+            if addr < NE_REGION:
+                backend.write(addr, bytes([byte]))
+    pool += data.draw(
+        st.lists(st.sampled_from([-8, -1, NE_REGION - 7, NE_REGION]), max_size=1),
+        label="out_of_range",
+    )
+    addrs = [rng.choice(pool) for _ in range(data.draw(st.integers(0, 40)))]
+    value = data.draw(
+        st.sampled_from([same, same, 0, 2**64 - 1, -1]), label="value"
+    )
+    probe, loop = twins
+    outcomes = []
+    for backend, call in (
+        (probe, lambda: probe.scan_ne_at(addrs, value)),
+        (loop, lambda: _ne_loop(loop, addrs, value)),
+    ):
+        try:
+            outcome = ("ok", call())
+        except IndexError as exc:
+            outcome = ("IndexError", str(exc))
+        outcomes.append((outcome, backend.stats.as_dict()))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_cold_group_scan_charges_one_access_per_line(monkeypatch):
