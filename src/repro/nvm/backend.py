@@ -593,7 +593,7 @@ class RawBackend(Observable):
             )
         found = None
         probed = count
-        if self._np is not None and count >= _NP_MIN_SCAN:
+        if self._np is not None and count >= _NP_MIN_SCAN and 0 <= mask < 1 << 64:
             headers = self._np_strided_headers(addr, stride, count)
             if headers is not None:
                 hits = self._np.flatnonzero((headers & mask) == 0)
@@ -683,7 +683,7 @@ class RawBackend(Observable):
         byte). The common cell layout (8-byte header, 8-byte key,
         8-aligned stride) compares whole key words in one pass."""
         np = self._np
-        if mask >= 256:
+        if not 0 <= mask < 256:
             return None
         if len(key) == 8 and key_offset == 8 and not (addr % 8 or stride % 8):
             step = stride // 8
@@ -718,7 +718,7 @@ class RawBackend(Observable):
         stats.reads += count
         stats.bytes_read += 8 * count
         np = self._np
-        if np is not None and count >= _NP_MIN_SCAN and mask < 256:
+        if np is not None and count >= _NP_MIN_SCAN and 0 <= mask < 256:
             bits = (
                 self._np_u8[addr : addr + (count - 1) * stride + 1 : stride] & mask
             ) != 0
@@ -727,7 +727,7 @@ class RawBackend(Observable):
             )
         volatile = self._volatile
         bitmap = 0
-        if mask < 256:
+        if 0 <= mask < 256:
             for i in range(count):
                 if volatile[addr] & mask:
                     bitmap |= 1 << i
@@ -770,7 +770,7 @@ class RawBackend(Observable):
         stats.reads += n
         stats.bytes_read += 8 * n
         np = self._np
-        if np is not None and n >= _NP_MIN_SCAN and mask < 256:
+        if np is not None and n >= _NP_MIN_SCAN and 0 <= mask < 256:
             index = np.asarray(addrs, dtype=np.intp)
             bits = (self._np_u8[index] & mask) != 0
             return int.from_bytes(
@@ -821,7 +821,7 @@ class RawBackend(Observable):
             )
         result = None
         probed = count
-        if self._np is not None and count >= _NP_MIN_SCAN and mask < 256:
+        if self._np is not None and count >= _NP_MIN_SCAN and 0 <= mask < 256:
             np = self._np
             empty = (
                 self._np_u8[addr : addr + (count - 1) * stride + 1 : stride] & mask
@@ -861,7 +861,7 @@ class RawBackend(Observable):
         ok = self._in_range_prefix(addrs, 8)
         found = None
         np = self._np
-        if np is not None and ok >= _NP_MIN_SCAN and mask < 256:
+        if np is not None and ok >= _NP_MIN_SCAN and 0 <= mask < 256:
             index = np.asarray(addrs[:ok], dtype=np.intp)
             hits = np.flatnonzero((self._np_u8[index] & mask) == 0)
             if hits.size:
@@ -909,7 +909,7 @@ class RawBackend(Observable):
         if (
             np is not None
             and ok >= _NP_MIN_SCAN
-            and mask < 256
+            and 0 <= mask < 256
             and len(key) == 8
             and key_offset == 8
         ):
@@ -962,7 +962,7 @@ class RawBackend(Observable):
                     self._check_range(addr, size)
                 total += size
         np = self._np
-        if np is not None and n >= _NP_MIN_SCAN and mask < 256 and key_offset == 8:
+        if np is not None and n >= _NP_MIN_SCAN and 0 <= mask < 256 and key_offset == 8:
             if all(len(key) == 8 for key in keys):
                 index = np.asarray(addrs, dtype=np.intp)
                 if not (index % 8).any():

@@ -97,6 +97,36 @@ class CacheSim:
         bucket[line] = is_write
         return False, evicted
 
+    def enter_run(self, first: int, end: int) -> tuple[int, bool, int, list[int]]:
+        """Read-touch lines ``first .. end - 1`` in order; return
+        ``(fills, head_filled, evictions, dirty_victims)``.
+
+        Equivalent to ``access(line, is_write=False)`` per line: the same
+        LRU order, dirty flags and victims, with the per-line results
+        summed — the fills, whether ``first`` itself was a fill, the
+        evictions, and the dirty victims in eviction order (the caller
+        writes them back)."""
+        sets = self._sets
+        n_sets = self._n_sets
+        assoc = self._assoc
+        head_filled = first < end and first not in sets[first % n_sets]
+        fills = evictions = 0
+        dirty: list[int] = []
+        for line in range(first, end):
+            bucket = sets[line % n_sets]
+            flag = bucket.pop(line, None)
+            if flag is not None:
+                bucket[line] = flag
+                continue
+            fills += 1
+            if len(bucket) >= assoc:
+                victim = next(iter(bucket))
+                evictions += 1
+                if bucket.pop(victim):
+                    dirty.append(victim)
+            bucket[line] = False
+        return fills, head_filled, evictions, dirty
+
     def touch_mru(self, line: int, is_write: bool) -> None:
         """Repeat-touch a line the caller *knows* is resident and MRU.
 

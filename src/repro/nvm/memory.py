@@ -18,6 +18,8 @@ only charges its cost. Crash semantics are delegated to a
 
 from __future__ import annotations
 
+import functools
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -35,6 +37,29 @@ CACHELINE = 64
 ATOMIC_UNIT = 8
 
 _U64 = struct.Struct("<Q")
+
+#: a float clock adds integer costs exactly while every sum stays below this
+_EXACT_NS = 1 << 53
+
+#: windows of fewer cells run the per-cell charge loop: below it the
+#: per-line path's set-up (a crossing lookup, a cache run) costs more
+#: than the loop it replaces
+_MIN_WINDOW = 8
+
+
+@functools.lru_cache(maxsize=1024)
+def _crossings(line_size: int, phase: int, step: int, size: int) -> tuple[int, ...]:
+    """Prefix counts, over one period of a strided window, of the cells
+    that cross a line boundary: element ``i`` counts them among the
+    first ``i`` cells of a window starting ``phase`` bytes into a line.
+    The offsets repeat every ``line_size / gcd(step, line_size)`` cells,
+    the tuple's length minus one."""
+    period = line_size // math.gcd(step, line_size)
+    counts = [0]
+    for i in range(period):
+        offset = (phase + i * step) % line_size
+        counts.append(counts[-1] + (offset + size > line_size))
+    return tuple(counts)
 
 
 #: strides :func:`image_diff` refines through: 4 KiB chunks, cachelines,
@@ -331,6 +356,7 @@ class NVMRegion(Observable):
         "_notify",
         "_prev_line",
         "_fast_line",
+        "_run_ns",
     )
 
     def __init__(
@@ -380,6 +406,10 @@ class NVMRegion(Observable):
         # from _prev_line, which is prefetcher state and must NOT be
         # cleared on invalidation.
         self._fast_line = -1
+        # the most one touch of a read window can add to the clock when
+        # windows may charge their touches as summed integer costs, else
+        # None (see :meth:`_charge_window`)
+        self._run_ns = self._window_touch_bound()
 
     # ------------------------------------------------------------------
     # allocation
@@ -648,20 +678,117 @@ class NVMRegion(Observable):
             and max(addrs) + size <= self.size
         )
 
+    def _window_touch_bound(self) -> float | None:
+        """The most one read touch can add to the clock (the dearest of
+        hit, prefetch and fill, plus an eviction writeback) when read
+        windows may be charged by :meth:`_charge_window`, else None: a
+        subclass, wear tracking (its observers read the clock at each
+        writeback), or any cost that is not a non-negative integer (a
+        fractional flush or fence cost leaves the clock fractional, and
+        integer adds to it round differently one at a time than
+        summed)."""
+        latency = self._latency
+        touch = (latency.cache_hit_ns, latency.prefetch_hit_ns, latency.line_fill_ns)
+        costs = touch + (
+            latency.eviction_writeback_ns,
+            latency.flush_base_ns,
+            latency.nvm_write_extra_ns,
+            latency.fence_ns,
+        )
+        if (
+            self.__class__ is not NVMRegion
+            or self.wear is not None
+            or not all(cost >= 0 and float(cost).is_integer() for cost in costs)
+        ):
+            return None
+        return max(touch) + latency.eviction_writeback_ns
+
+    def _charge_window(self, cells: range, size: int) -> bool:
+        """Charge a strided read window with ``size <= step <= line`` once
+        per line, or return False (the caller's per-cell loop runs).
+
+        Such a window touches every line from its first to its last, in
+        non-decreasing order, so each line is entered once:
+        :meth:`CacheSim.enter_run` runs them all, and every fill after
+        the head line follows the line before it (prefetch-covered). The
+        remaining touches, repeats of the line entered last, are hits
+        whose number is arithmetic: one touch per cell plus one per line
+        boundary a cell crosses. The clock gets each cost times its count;
+        with non-negative integer costs (checked at construction) and the
+        clock bounded below 2**53 (checked here), those sums equal the
+        per-touch adds bit for bit."""
+        n = len(cells)
+        stats = self.stats
+        sim = stats.sim_time_ns
+        if sim + 2 * n * self._run_ns >= _EXACT_NS:
+            return False
+        line_size = self._line
+        step = cells.step
+        start = cells.start
+        first = start // line_size
+        last = (cells[-1] + size - 1) // line_size
+        counts = _crossings(line_size, start % line_size, step, size)
+        periods, rest = divmod(n, len(counts) - 1)
+        touches = n + periods * counts[-1] + counts[rest]
+        # a head line still MRU from the last access is a plain hit
+        head = first + 1 if first == self._fast_line else first
+        fills = misses = evictions = 0
+        dirty = ()
+        if head <= last:
+            fills, head_filled, evictions, dirty = self.cache.enter_run(head, last + 1)
+            if head_filled and head != self._prev_line + 1:
+                misses = 1
+            self._prev_line = last
+        self._fast_line = last
+        prefetched = fills - misses
+        hits = touches - fills
+        stats.reads += n
+        stats.bytes_read += n * size
+        stats.cache_hits += hits
+        if fills:
+            stats.cache_misses += misses
+            stats.prefetched_fills += prefetched
+            stats.nvm_line_reads += fills
+            stats.evictions += evictions
+        for victim in dirty:
+            self._writeback(victim)
+        latency = self._latency
+        stats.sim_time_ns = sim + (
+            hits * latency.cache_hit_ns
+            + prefetched * latency.prefetch_hit_ns
+            + misses * latency.line_fill_ns
+            + len(dirty) * latency.eviction_writeback_ns
+        )
+        return True
+
     def _charge_reads(self, cells, size: int) -> None:
         """Charge one ``read(a, size)`` (``size > 0``) per address ``a`` of
         ``cells``, in order — every event of that loop of reads, without
         its per-word calls.
 
-        :meth:`CacheSim.access` runs once per line entered; a repeat
+        A strided window of at least :data:`_MIN_WINDOW` cells that
+        neither overlap nor skip a line is charged per line by
+        :meth:`_charge_window`, whose summed costs are bit-identical only
+        for non-negative integer costs and a clock below 2**53.
+        Everything else (gathers, short windows, other strides,
+        non-integer costs, wear tracking, subclasses) runs the loop
+        below: :meth:`CacheSim.access` once per line entered; a repeat
         touch of the line charged last is a hit on a resident MRU line,
-        as in :meth:`_touch`. ``sim_time_ns`` gets one add per touch in
-        the loop's order, so it is bit-identical for any latency model;
-        dirty victims are written back in the same order, and
-        ``_prev_line``/``_fast_line`` end as the loop leaves them. The
-        counters live in locals written back once at the end; the clock
-        is also published before a dirty writeback, whose wear observers
-        may read it."""
+        as in :meth:`_touch`. The loop adds to ``sim_time_ns`` once per
+        touch, in the order of the reads, so it is bit-identical to them
+        for any latency model; dirty victims are written back in the
+        same order, and ``_prev_line``/``_fast_line`` end as the reads
+        leave them. The counters live in locals written back once at the
+        end; the clock is also published before a dirty writeback, whose
+        wear observers may read it."""
+        if (
+            type(cells) is range
+            and self._run_ns is not None
+            and len(cells) >= _MIN_WINDOW
+            and size <= cells.step <= self._line
+            and self._charge_window(cells, size)
+        ):
+            return
         stats = self.stats
         access = self.cache.access
         latency = self._latency
@@ -1030,12 +1157,12 @@ class NVMRegion(Observable):
         ``payloads=None`` or ``mask=0``.
 
         The contract is the event sequence of that loop. The fused path
-        charges it as :meth:`_charge_reads` does: :meth:`CacheSim.access`
-        once per line entered, a repeat touch of the MRU line a hit that
-        only marks it dirty (``touch_mru``), one ``sim_time_ns`` add per
-        touch in the loop's order, dirty victims written back in that
-        order (with the clock published first) before the store that
-        displaced them lands."""
+        charges it as :meth:`_charge_reads`' per-cell loop does:
+        :meth:`CacheSim.access` once per line entered, a repeat touch of
+        the MRU line a hit that only marks it dirty (``touch_mru``), one
+        ``sim_time_ns`` add per touch in the loop's order, dirty victims
+        written back in that order (with the clock published first)
+        before the store that displaced them lands."""
         if len(cells) < _MIN_BATCH or not self._fused_stores():
             _store_cells_loop(self, cells, payloads, offset, mask)
             return

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import settings
 
 # A deep budget for property tests that leave max_examples to the
-# profile (the scan-primitive, recovery, batch-primitive, kernel and
-# observation-sink oracles): ``--hypothesis-profile=ci-deep``.
+# profile (the scan-primitive, cache-run, recovery, batch-primitive,
+# kernel and observation-sink oracles): ``--hypothesis-profile=ci-deep``.
 # The default profile stays as it is for tier-1.
 settings.register_profile("ci-deep", max_examples=1000)
 
@@ -41,11 +41,17 @@ SMALL_CACHE = CacheConfig(size_bytes=16 * 1024, line_size=64, associativity=4)
 
 
 def count_cache_calls(monkeypatch) -> dict[str, int]:
-    """From now until ``monkeypatch.undo()``, count the calls of
-    ``CacheSim.access`` and ``CacheSim.touch_mru`` into the returned
-    dict."""
-    calls = {"access": 0, "touch_mru": 0}
-    access, touch_mru = CacheSim.access, CacheSim.touch_mru
+    """From now until ``monkeypatch.undo()``, count the lines run through
+    the LRU step into the returned dict: ``access`` counts each
+    ``CacheSim.access`` call plus each line entered by
+    ``CacheSim.enter_run`` (whose calls ``runs`` counts), ``touch_mru``
+    the ``CacheSim.touch_mru`` calls."""
+    calls = {"access": 0, "touch_mru": 0, "runs": 0}
+    access, touch_mru, enter_run = (
+        CacheSim.access,
+        CacheSim.touch_mru,
+        CacheSim.enter_run,
+    )
 
     def counted_access(self, line, *, is_write):
         calls["access"] += 1
@@ -55,8 +61,14 @@ def count_cache_calls(monkeypatch) -> dict[str, int]:
         calls["touch_mru"] += 1
         return touch_mru(self, line, is_write)
 
+    def counted_enter_run(self, first, end):
+        calls["runs"] += 1
+        calls["access"] += end - first
+        return enter_run(self, first, end)
+
     monkeypatch.setattr(CacheSim, "access", counted_access)
     monkeypatch.setattr(CacheSim, "touch_mru", counted_touch_mru)
+    monkeypatch.setattr(CacheSim, "enter_run", counted_enter_run)
     return calls
 
 

@@ -221,6 +221,51 @@ def test_raw_scan_counts_reads_like_reference():
     assert sim.stats.reads - before_sim == raw.stats.reads - before_raw == 6
 
 
+#: every mask-taking scan, over 20 cells of 24 bytes (numpy scans need
+#: 16): each call returns its result and the backend's read counts
+MASKED_SCANS = {
+    "scan_clear_u64": lambda b, m: b.scan_clear_u64(0, 24, 20, m),
+    "scan_occupied_bitmap": lambda b, m: b.scan_occupied_bitmap(0, 24, 20, m),
+    "scan_occupied_at": lambda b, m: b.scan_occupied_at([0, 24] * 10, m),
+    "scan_clear_at": lambda b, m: b.scan_clear_at(list(range(0, 480, 24)), m),
+    "scan_match": lambda b, m: b.scan_match(0, 24, 20, bytes([12]) * 8, mask=m),
+    "scan_match_many": lambda b, m: b.scan_match_many(
+        0, 24, 20, [bytes([12]) * 8, bytes([99]) * 8], mask=m
+    ),
+    "scan_probe": lambda b, m: b.scan_probe(0, 24, 20, bytes([12]) * 8, mask=m),
+    "scan_match_at": lambda b, m: b.scan_match_at(
+        list(range(0, 480, 24)), bytes([12]) * 8, mask=m
+    ),
+    "scan_match_pairs": lambda b, m: b.scan_match_pairs(
+        [(24 * i, bytes([i + 1]) * 8) for i in range(20)], mask=m
+    ),
+}
+
+
+@pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "pure"])
+@pytest.mark.parametrize("mask", [-1, 0x100, 1 << 40], ids=hex)
+def test_raw_scans_take_any_mask_like_the_simulator(monkeypatch, mask, numpy):
+    """A mask outside a header byte (negative, or above bit 7) gives the
+    raw backend's scans, numpy or pure, the simulator's answers and read
+    counts; a negative one used to reach numpy and overflow its uint8."""
+    if numpy:
+        monkeypatch.delenv("REPRO_NO_NUMPY", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+    sim, raw = NVMRegion(8192), RawBackend(8192)
+    assert (raw._np is not None) == numpy
+    for backend in (sim, raw):
+        for i in range(20):
+            header = (i % 3) << 41 | (i % 2) << 8 | (i % 5 == 0)
+            backend.write_u64(24 * i, header)
+            backend.write(24 * i + 8, bytes([i + 1]) * 8)
+    for name, call in MASKED_SCANS.items():
+        outcomes = [
+            (call(b, mask), b.stats.reads, b.stats.bytes_read) for b in (sim, raw)
+        ]
+        assert outcomes[0] == outcomes[1], name
+
+
 # ----------------------------------------------------------------------
 # scheme parity: same ops on sim and raw -> same state, same events
 

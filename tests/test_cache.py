@@ -152,6 +152,38 @@ def test_matches_reference_lru_model(ops):
         assert resident == sorted(model[s])
 
 
+@settings(deadline=None)
+@given(
+    assoc=st.sampled_from([1, 2, 4]),
+    n_sets=st.sampled_from([1, 2, 8]),
+    warm=st.lists(st.tuples(st.integers(0, 47), st.booleans()), max_size=60),
+    first=st.integers(0, 40),
+    length=st.integers(0, 24),
+)
+def test_enter_run_matches_access_loop(assoc, n_sets, warm, first, length):
+    """``enter_run(first, end)`` leaves every set's LRU order and dirty
+    flags as a loop of ``access(line, is_write=False)`` does, and sums
+    its results: the fills, whether ``first`` filled, the evictions and
+    the dirty victims in eviction order. The warm-up leaves dirty lines
+    and partly full sets; 1-set and 1-way caches evict the run's own
+    lines."""
+    run, loop = tiny_cache(assoc, n_sets), tiny_cache(assoc, n_sets)
+    for cache in (run, loop):
+        for line, is_write in warm:
+            cache.access(line, is_write=is_write)
+    end = first + length
+    outcomes = [loop.access(line, is_write=False) for line in range(first, end)]
+    victims = [evicted for _, evicted in outcomes if evicted is not None]
+    fills, head_filled, evictions, dirty = run.enter_run(first, end)
+    assert fills == sum(not hit for hit, _ in outcomes)
+    assert head_filled == (bool(outcomes) and not outcomes[0][0])
+    assert evictions == len(victims)
+    assert dirty == [line for line, was_dirty in victims if was_dirty]
+    assert [list(bucket.items()) for bucket in run._sets] == [
+        list(bucket.items()) for bucket in loop._sets
+    ]
+
+
 def test_writeback_clean_or_absent_returns_false():
     cache = tiny_cache()
     assert cache.writeback(5) is False  # never resident

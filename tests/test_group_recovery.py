@@ -255,7 +255,7 @@ def test_fused_recovery_matches_per_cell_loop(seed, flush_invalidates, crash_at,
 
 def test_cold_recovery_charges_one_access_per_line(monkeypatch):
     """A cold recovery of 4096 24-byte cells (two 64-aligned levels of
-    768 lines each) runs CacheSim.access about once per line and never
+    768 lines each) enters each line about once and never runs
     touch_mru; the per-cell loop ran one cache call per cell."""
     region = NVMRegion(1 << 20)
     table = GroupHashTable(region, 4096, group_size=32)

@@ -12,6 +12,8 @@ availability.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import os
 import random
 from unittest import mock
@@ -24,6 +26,7 @@ from tests.conftest import SMALL_CACHE, count_cache_calls, small_region
 
 from repro import CacheConfig, NVMRegion, RawBackend, SimConfig
 from repro.nvm.latency import PAPER_NVM, LatencyModel
+from repro.nvm.memory import _MIN_WINDOW
 from repro.nvm.wearlevel import WearLevelledRegion
 
 STRIDE = 32
@@ -658,13 +661,13 @@ def test_scan_ne_at_matches_read_u64_loop(kind, data):
 
 
 def test_cold_group_scan_charges_one_access_per_line(monkeypatch):
-    """A cold scan of 256 cells of 24 B runs CacheSim.access once per
-    line (96), never per word; a WearLevelledRegion still runs the
-    per-word loop and charges what it always has."""
+    """A cold scan of 256 cells of 24 B enters each line once (96), as
+    one CacheSim.enter_run, never per word; a WearLevelledRegion still
+    runs the per-word loop and charges what it always has."""
     calls = count_cache_calls(monkeypatch)
     region = NVMRegion(1 << 16)
     assert region.scan_occupied_bitmap(0, 24, 256) == 0
-    assert calls == {"access": 96, "touch_mru": 0}
+    assert calls == {"access": 96, "touch_mru": 0, "runs": 1}
     assert region.stats.reads == 256
     assert region.stats.nvm_line_reads == 96
     assert region.stats.cache_hits == 160
@@ -696,6 +699,133 @@ def test_cold_group_scan_charges_one_access_per_line(monkeypatch):
         "nvm_line_reads": 226,
         "sim_time_ns": 41445.0,
     }
+
+
+# ----------------------------------------------------------------------
+# window charging: a strided read window charged once per line against
+# the per-cell loop
+
+#: integer costs other than the paper's, with a non-zero eviction
+#: writeback, so a wrong writeback count shows in ``sim_time_ns``
+INT_LATENCY = LatencyModel(
+    name="int",
+    cache_hit_ns=3.0,
+    line_fill_ns=91.0,
+    prefetch_hit_ns=7.0,
+    flush_base_ns=41.0,
+    nvm_write_extra_ns=299.0,
+    fence_ns=3.0,
+    eviction_writeback_ns=13.0,
+)
+
+
+#: integer read costs, but a flush cost that leaves the clock fractional
+ODD_FLUSH = dataclasses.replace(INT_LATENCY, name="odd-flush", flush_base_ns=41.9)
+
+
+@contextlib.contextmanager
+def _window_log():
+    """Record what each ``NVMRegion._charge_window`` call returned: True
+    when it charged the window per line, False when it declined (the
+    per-cell loop ran). A window it never saw leaves no entry."""
+    log = []
+    charge = NVMRegion._charge_window
+
+    def logged(self, cells, size):
+        log.append(charge(self, cells, size))
+        return log[-1]
+
+    with mock.patch.object(NVMRegion, "_charge_window", logged):
+        yield log
+
+
+def _dirty(rng, regions, n):
+    """``n`` random 16-byte stores, so windows evict dirty lines."""
+    for _ in range(n):
+        _both(regions, "write", rng.randrange(ORACLE_REGION - 16), rng.randbytes(16))
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_window_charge_matches_per_cell_loop(data):
+    """A strided window of ``_MIN_WINDOW`` or more cells with ``size <=
+    step <= line`` is charged per line (the log shows it; a shorter one
+    runs the loop) and leaves exactly the state of ``_Ref``'s per-cell
+    loop: every counter, the clock, LRU order and dirty flags, the
+    markers, both images. The draws cover integer costs with a non-zero
+    eviction writeback, unaligned starts, ``step == size`` and ``step ==
+    line``, a head line still MRU from the access before, and 1-set or
+    1-way caches where a window evicts its own lines."""
+    line = data.draw(st.sampled_from([32, 64, 128]), label="line")
+    ways = data.draw(st.sampled_from([1, 2, 4]), label="ways")
+    sets = data.draw(st.sampled_from([1, 2, 8]), label="sets")
+    config = SimConfig(
+        latency=data.draw(st.sampled_from([INT_LATENCY, PAPER_NVM]), label="costs"),
+        cache=CacheConfig(
+            size_bytes=line * ways * sets, line_size=line, associativity=ways
+        ),
+        flush_invalidates=data.draw(st.booleans(), label="flush_invalidates"),
+    )
+    fused, ref = regions = NVMRegion(ORACLE_REGION, config), _Ref(ORACLE_REGION, config)
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    for _ in range(data.draw(st.integers(1, 4), label="rounds")):
+        _dirty(rng, regions, rng.randrange(12))
+        _churn(rng, regions)
+        size = data.draw(st.integers(1, line), label="size")
+        step = data.draw(
+            st.sampled_from([size, line]) | st.integers(size, line), label="step"
+        )
+        count = data.draw(st.integers(1, 48), label="count")
+        count = min(count, (ORACLE_REGION - size) // step + 1)
+        start = data.draw(
+            st.integers(0, ORACLE_REGION - (count - 1) * step - size), label="start"
+        )
+        if data.draw(st.booleans(), label="head_on_fast_line"):
+            _both(regions, "read", start - start % line, 1)
+            assert fused._fast_line == start // line
+        cells = range(start, start + count * step, step)
+        with _window_log() as log:
+            for region in regions:
+                region._charge_reads(cells, size)
+        assert log == ([True] if count >= _MIN_WINDOW else [])
+        assert _oracle_state(fused) == _oracle_state(ref)
+
+
+#: windows the per-cell loop must charge: (config, cells, size, clock)
+_LOOP_WINDOWS = {
+    "odd-latency": (SimConfig(latency=ODD_LATENCY), range(40, 1000, 24), 8, 0.0),
+    "odd-flush-cost": (SimConfig(latency=ODD_FLUSH), range(40, 1000, 24), 8, 0.0),
+    "track-wear": (SimConfig(track_wear=True), range(40, 1000, 24), 8, 0.0),
+    "stride-over-line": (SimConfig(), range(40, 3000, 72), 8, 0.0),
+    "stride-under-size": (SimConfig(), range(40, 1000, 8), 16, 0.0),
+    "gather": (SimConfig(), list(range(40, 1000, 24)), 8, 0.0),
+    "short-window": (SimConfig(), range(40, 40 + 24 * (_MIN_WINDOW - 1), 24), 8, 0.0),
+    "clock-near-2**53": (SimConfig(), range(40, 1000, 24), 8, 2.0**53 - 1e3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LOOP_WINDOWS))
+def test_window_charge_falls_back_to_per_cell_loop(case):
+    """Non-integer costs (all of them, or only the flush cost), wear
+    tracking, a stride past the line or below the cell size, a gather, a
+    window shorter than ``_MIN_WINDOW`` and a clock near 2**53 run the
+    per-cell loop (no window is charged per line), and leave what
+    ``_Ref`` leaves."""
+    config, cells, size, clock = _LOOP_WINDOWS[case]
+    config = dataclasses.replace(
+        config, cache=CacheConfig(size_bytes=512, line_size=64, associativity=2)
+    )
+    regions = NVMRegion(ORACLE_REGION, config), _Ref(ORACLE_REGION, config)
+    _dirty(random.Random(7), regions, 64)
+    for region in regions:
+        region.clflush(cells[0])
+        region.stats.sim_time_ns += clock
+    with _window_log() as log:
+        for region in regions:
+            region._charge_reads(cells, size)
+    assert log == ([False] if case == "clock-near-2**53" else [])
+    assert _oracle_state(regions[0]) == _oracle_state(regions[1])
+    assert regions[0].stats.evictions > 0
 
 
 # ----------------------------------------------------------------------
