@@ -9,7 +9,6 @@ independence) backed by a numpy table.
 
 from __future__ import annotations
 
-import os
 import random
 from typing import Callable
 
@@ -124,9 +123,6 @@ class HashFamily:
         self._params: dict[int, tuple[int, int]] = {}
         #: the scalar functions :meth:`hash_many` runs, per index
         self._scalar: dict[int, Callable[[bytes], int]] = {}
-        # REPRO_NO_NUMPY=1 keeps hash_many scalar (read at construction,
-        # like the raw backend's scan paths)
-        self._np = os.environ.get("REPRO_NO_NUMPY", "0") in ("", "0")
 
     def _param(self, index: int) -> tuple[int, int]:
         params = self._params.get(index)
@@ -162,16 +158,10 @@ class HashFamily:
         A batch of at least :data:`_NP_MIN_HASH` keys of one non-zero
         width runs the function's rounds as numpy ``uint64`` column ops
         (which wrap mod 2^64 like the scalar masks); smaller or
-        mixed-width batches, and ``REPRO_NO_NUMPY=1``, run the scalar
-        function per key. Callers bound the batch: the numpy path holds
-        a few arrays of its size."""
+        mixed-width batches run the scalar function per key. Callers
+        bound the batch: the numpy path holds a few arrays of its size."""
         n = len(keys)
-        if (
-            n < _NP_MIN_HASH
-            or not self._np
-            or not keys[0]
-            or len(set(map(len, keys))) != 1
-        ):
+        if n < _NP_MIN_HASH or not keys[0] or len(set(map(len, keys))) != 1:
             function = self._scalar.get(index)
             if function is None:
                 function = self._scalar[index] = self.function(index)

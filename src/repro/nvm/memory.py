@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 from dataclasses import dataclass, field
 
 from repro.nvm.cache import CacheConfig, CacheSim
 from repro.nvm.crash import CrashSchedule, drop_all_schedule
+from repro.nvm.decode import _U64, Scans
 from repro.nvm.latency import PAPER_NVM, LatencyModel
 from repro.nvm.observe import Observable
 from repro.nvm.stats import MemStats
@@ -35,8 +35,6 @@ CACHELINE = 64
 
 #: failure-atomicity unit of NVM (paper Section 2.2)
 ATOMIC_UNIT = 8
-
-_U64 = struct.Struct("<Q")
 
 #: a float clock adds integer costs exactly while every sum stays below this
 _EXACT_NS = 1 << 53
@@ -95,109 +93,6 @@ def image_diff(volatile: bytearray, persistent: bytearray) -> list[tuple[int, in
     return [(start, stop - start) for start, stop in runs]
 
 
-#: per byte mask, the ``bytes.translate`` table sending a header byte
-#: to b"1" when it has a mask bit and to b"0" when not
-_BIT_TABLES: dict[int, bytes] = {}
-
-
-def _occupied_bitmap(vol: bytearray, cells, mask: int) -> int:
-    """Bit ``i`` set iff the little-endian header word at the ``i``-th
-    address of ``cells`` (a range or a list) has a ``mask`` bit. A byte
-    mask reads one byte per cell, a strided window as one slice."""
-    if not 0 <= mask <= 0xFF:
-        unpack = _U64.unpack_from
-        digits = bytes(49 if unpack(vol, addr)[0] & mask else 48 for addr in cells)
-        return int(digits[::-1], 2)
-    table = _BIT_TABLES.get(mask)
-    if table is None:
-        table = _BIT_TABLES[mask] = bytes(
-            49 if byte & mask else 48 for byte in range(256)
-        )
-    if type(cells) is range:
-        headers = vol[cells.start : cells.stop : cells.step]
-    else:
-        headers = bytes(map(vol.__getitem__, cells))
-    return int(headers.translate(table)[::-1], 2)
-
-
-def _first_clear(vol: bytearray, cells, mask: int) -> int:
-    """Index of the first address of ``cells`` whose header word has no
-    ``mask`` bit, or -1. Reads cell by cell, so an early exit costs only
-    what it probed (a linear-probing window is the table's whole tail)."""
-    if 0 <= mask <= 0xFF:
-        for i, addr in enumerate(cells):
-            if not vol[addr] & mask:
-                return i
-        return -1
-    unpack = _U64.unpack_from
-    for i, addr in enumerate(cells):
-        if not unpack(vol, addr)[0] & mask:
-            return i
-    return -1
-
-
-def _first_ne(vol: bytearray, cells, value: int) -> int:
-    """Index of the first address of ``cells`` whose little-endian word
-    is not ``value``, or -1."""
-    unpack = _U64.unpack_from
-    for i, addr in enumerate(cells):
-        if unpack(vol, addr)[0] != value:
-            return i
-    return -1
-
-
-#: per byte mask, the ``bytes.translate`` table sending a header byte
-#: to 0xFF when it has no mask bit (a free cell) and to 0 when it has one
-_FREE_TABLES: dict[int, bytes] = {}
-
-
-def _first_torn(vol: bytearray, cells: range, size: int, mask: int) -> tuple[int, int]:
-    """``(i, occupied)`` for the strided ``cells`` read ``size`` bytes
-    each: ``i`` is the index of the first cell whose header byte 0 has
-    no ``mask`` bit while its bytes ``[8, size)`` are non-zero (-1 if
-    none), and ``occupied`` counts the cells before it (all of them if
-    none) whose header byte 0 has one.
-
-    Each column of the window — one byte offset of every cell — is one
-    strided slice read as a little-endian integer, so byte ``i`` of an
-    integer belongs to cell ``i``: the payload columns OR-ed together
-    and masked with the free cells' 0xFF bytes leave the torn cells."""
-    mask &= 0xFF
-    table = _FREE_TABLES.get(mask)
-    if table is None:
-        table = _FREE_TABLES[mask] = bytes(
-            0 if byte & mask else 0xFF for byte in range(256)
-        )
-    start, step = cells.start, cells.step
-    last = cells[-1] + 1
-    free = vol[start:last:step].translate(table)
-    payload = 0
-    for off in range(8, size):
-        payload |= int.from_bytes(vol[start + off : last + off : step], "little")
-    torn = payload & int.from_bytes(free, "little")
-    if not torn:
-        return -1, len(free) - free.count(0xFF)
-    i = ((torn & -torn).bit_length() - 1) >> 3
-    return i, i - free.count(0xFF, 0, i)
-
-
-def _scan_torn_loop(
-    region, addr: int, stride: int, count: int, size: int, mask: int
-) -> tuple[int | None, int]:
-    """``scan_torn`` as its per-cell loop of ``region.read(cell, size)``:
-    the contract, the path of subclasses and out-of-range windows, and
-    :class:`~repro.nvm.backend.RawBackend`'s implementation."""
-    occupied = 0
-    for i in range(count):
-        raw = region.read(addr, size)
-        if raw[0] & mask:
-            occupied += 1
-        elif any(raw[8:]):
-            return i, occupied
-        addr += stride
-    return None, occupied
-
-
 def _store_cells_loop(region, cells, payloads, offset: int, mask: int) -> None:
     """``store_cells`` as its per-cell loop: the contract, and the path
     of subclasses, armed crashes, observers, small and odd batches.
@@ -254,26 +149,6 @@ def _flush_batch(region, lines) -> bool:
     return min(lines) >= 0 and max(lines) * region.line_size < region.size
 
 
-def _first_key(
-    vol: bytearray, cells: range, key: bytes, key_offset: int, mask: int
-) -> int:
-    """Index of the first of the strided, non-empty ``cells`` whose
-    header byte 0 has a ``mask`` bit and that stores ``key`` at
-    ``key_offset``, or -1. ``bytearray.find`` stops at the first
-    occurrence, so a hit costs about what it probed; occurrences off a
-    cell's key field are skipped."""
-    stride = cells.step
-    start = cells.start + key_offset
-    stop = cells[-1] + key_offset + len(key)
-    pos = vol.find(key, start, stop)
-    while pos >= 0:
-        i, off = divmod(pos - start, stride)
-        if not off and vol[pos - key_offset] & mask:
-            return i
-        pos = vol.find(key, pos + 1, stop)
-    return -1
-
-
 class SimulatedPowerFailure(RuntimeError):
     """Raised mid-operation when an armed crash point trips.
 
@@ -325,7 +200,7 @@ class Allocation:
     size: int
 
 
-class NVMRegion(Observable):
+class NVMRegion(Scans, Observable):
     """A simulated persistent memory region with a cache in front.
 
     All addresses are offsets into the region. Use :meth:`alloc` to carve
@@ -357,6 +232,7 @@ class NVMRegion(Observable):
         "_prev_line",
         "_fast_line",
         "_run_ns",
+        "_in_place",
     )
 
     def __init__(
@@ -410,6 +286,8 @@ class NVMRegion(Observable):
         # windows may charge their touches as summed integer costs, else
         # None (see :meth:`_charge_window`)
         self._run_ns = self._window_touch_bound()
+        # scans decode in place on the base class only (see Scans)
+        self._in_place = self.__class__ is NVMRegion
 
     # ------------------------------------------------------------------
     # allocation
@@ -645,38 +523,13 @@ class NVMRegion(Observable):
     # ------------------------------------------------------------------
     # bulk probes
     #
-    # A probe's contract is the event sequence of its per-word loop (the
-    # code at the end of each method): the lines touched, in order, and
-    # what each touch costs. The base class decodes the answer from the
-    # volatile view and charges that same sequence line by line through
+    # The probes are :class:`~repro.nvm.decode.Scans`: the base class
+    # decodes a window or gather from the volatile view and charges the
+    # event sequence of its per-word loop (the lines touched, in order,
+    # and what each touch costs) line by line through
     # :meth:`_charge_reads`; subclasses (which may remap addresses, like
     # wear leveling) and windows with a cell outside the region run the
     # loop itself, so error behaviour is the loop's.
-
-    def _window(self, addr: int, stride: int, count: int, size: int) -> range | None:
-        """Addresses of the ``count`` strided cells when the base class
-        decodes them in place, else None (the loop runs)."""
-        if (
-            self.__class__ is NVMRegion
-            and count > 0
-            and stride > 0
-            and size > 0
-            and addr >= 0
-            and addr + (count - 1) * stride + size <= self.size
-        ):
-            return range(addr, addr + count * stride, stride)
-        return None
-
-    def _gathered(self, addrs: list, size: int) -> bool:
-        """Whether the base class decodes a gather over ``addrs`` in place
-        (else the loop runs)."""
-        return (
-            self.__class__ is NVMRegion
-            and size > 0
-            and bool(addrs)
-            and min(addrs) >= 0
-            and max(addrs) + size <= self.size
-        )
 
     def _window_touch_bound(self) -> float | None:
         """The most one read touch can add to the clock (the dearest of
@@ -842,290 +695,6 @@ class NVMRegion(Observable):
             stats.nvm_line_reads += misses + prefetched
             stats.evictions += evictions
         stats.sim_time_ns = sim
-
-    def scan_clear_u64(
-        self, addr: int, stride: int, count: int, mask: int = 1
-    ) -> int | None:
-        """Index of the first of ``count`` strided header words with
-        ``(word & mask) == 0``, or None.
-
-        The contract is the event sequence of the loop below: one
-        :meth:`read_u64` per word, stopping at the first clear one.
-        Fast backends reimplement the loop natively."""
-        cells = self._window(addr, stride, count, 8)
-        if cells is not None:
-            i = _first_clear(self._volatile, cells, mask)
-            self._charge_reads(cells if i < 0 else cells[: i + 1], 8)
-            return None if i < 0 else i
-        read_u64 = self.read_u64
-        for i in range(count):
-            if not read_u64(addr) & mask:
-                return i
-            addr += stride
-        return None
-
-    def scan_match(
-        self,
-        addr: int,
-        stride: int,
-        count: int,
-        key: bytes,
-        *,
-        mask: int = 1,
-        key_offset: int = 8,
-    ) -> int | None:
-        """Index of the first of ``count`` strided cells that is occupied
-        (header byte 0 & ``mask``) and stores ``key`` at ``key_offset``.
-
-        The contract is the event sequence of the loop below: one
-        ``read`` of header+key per probed cell (a single simulated load
-        — they travel together), stopping at the match. This is the
-        access pattern of the paper's contiguous level-2 group scan."""
-        size = key_offset + len(key)
-        cells = self._window(addr, stride, count, size) if key_offset >= 0 else None
-        if cells is not None:
-            i = _first_key(self._volatile, cells, key, key_offset, mask)
-            self._charge_reads(cells if i < 0 else cells[: i + 1], size)
-            return None if i < 0 else i
-        for i in range(count):
-            raw = self.read(addr, size)
-            if raw[0] & mask and raw[key_offset:] == key:
-                return i
-            addr += stride
-        return None
-
-    def scan_occupied_bitmap(
-        self, addr: int, stride: int, count: int, mask: int = 1
-    ) -> int:
-        """Bitmap of the ``mask`` bit over ``count`` strided header words:
-        bit ``i`` of the result is set iff ``word(addr + i*stride) & mask``.
-
-        The contract is the event sequence of the loop below: one
-        :meth:`read_u64` per header word — a *full* scan with no early
-        exit, which is what batch planners need (they want the whole
-        group's occupancy in one call)."""
-        cells = self._window(addr, stride, count, 8)
-        if cells is not None:
-            self._charge_reads(cells, 8)
-            return _occupied_bitmap(self._volatile, cells, mask)
-        read_u64 = self.read_u64
-        bitmap = 0
-        for i in range(count):
-            if read_u64(addr) & mask:
-                bitmap |= 1 << i
-            addr += stride
-        return bitmap
-
-    def scan_occupied_at(self, addrs, mask: int = 1) -> int:
-        """Gather variant of :meth:`scan_occupied_bitmap`: bit ``i`` of
-        the result reflects the header word at ``addrs[i]``.
-
-        The contract is the loop below: one :meth:`read_u64` per
-        address, full scan."""
-        addrs = list(addrs)
-        if self._gathered(addrs, 8):
-            self._charge_reads(addrs, 8)
-            return _occupied_bitmap(self._volatile, addrs, mask)
-        read_u64 = self.read_u64
-        # one b"0"/b"1" digit per address, read as one integer: linear in
-        # the address count (a whole table's cells, for the generic
-        # recover), where OR-ing in ``1 << i`` per cell is quadratic
-        digits = bytes(49 if read_u64(addr) & mask else 48 for addr in addrs)
-        return int(digits[::-1], 2) if digits else 0
-
-    def scan_match_many(
-        self,
-        addr: int,
-        stride: int,
-        count: int,
-        keys,
-        *,
-        mask: int = 1,
-        key_offset: int = 8,
-    ) -> list[int | None]:
-        """Multi-key :meth:`scan_match` over one strided window: for each
-        key in ``keys``, the index of its first matching cell (or None).
-
-        The contract is the concatenation of the per-key
-        :meth:`scan_match` event sequences, in key order; the base class
-        checks the window against the region once for all keys."""
-        keys = list(keys)
-        cells = None
-        if keys and key_offset >= 0:
-            size = key_offset + max(map(len, keys))
-            cells = self._window(addr, stride, count, size)
-        if cells is not None:
-            vol = self._volatile
-            out: list[int | None] = []
-            for key in keys:
-                i = _first_key(vol, cells, key, key_offset, mask)
-                size = key_offset + len(key)
-                self._charge_reads(cells if i < 0 else cells[: i + 1], size)
-                out.append(None if i < 0 else i)
-            return out
-        return [
-            self.scan_match(
-                addr, stride, count, key, mask=mask, key_offset=key_offset
-            )
-            for key in keys
-        ]
-
-    def scan_probe(
-        self,
-        addr: int,
-        stride: int,
-        count: int,
-        key: bytes,
-        *,
-        mask: int = 1,
-        key_offset: int = 8,
-    ) -> tuple[int, bool] | None:
-        """First of ``count`` strided cells that is *empty* (header byte 0
-        has no ``mask`` bit) or occupied and storing ``key``: returns
-        ``(index, matched)``, or None when every cell is occupied by
-        other keys. The linear-probing lookup pattern.
-
-        The contract is the event sequence of the loop below: one
-        ``read`` of header+key per probed cell, stopping at the
-        empty-or-match cell."""
-        size = key_offset + len(key)
-        cells = self._window(addr, stride, count, size) if key_offset >= 0 else None
-        if cells is not None:
-            # cell by cell: a probe mostly stops within a few cells, often
-            # at a match in the middle of a cluster
-            vol = self._volatile
-            for i, addr in enumerate(cells):
-                if not vol[addr] & mask:
-                    self._charge_reads(cells[: i + 1], size)
-                    return i, False
-                if vol[addr + key_offset : addr + size] == key:
-                    self._charge_reads(cells[: i + 1], size)
-                    return i, True
-            self._charge_reads(cells, size)
-            return None
-        for i in range(count):
-            raw = self.read(addr, size)
-            if not raw[0] & mask:
-                return i, False
-            if raw[key_offset:] == key:
-                return i, True
-            addr += stride
-        return None
-
-    def scan_clear_at(self, addrs, mask: int = 1) -> int | None:
-        """Gather variant of :meth:`scan_clear_u64`: index of the first
-        address in ``addrs`` whose header word has no ``mask`` bit.
-
-        The contract is the loop below: one :meth:`read_u64` per probed
-        address, stopping at the first clear one — the path-hashing
-        insert probe, whose candidate cells live in separate per-level
-        arrays."""
-        addrs = list(addrs)
-        if self._gathered(addrs, 8):
-            i = _first_clear(self._volatile, addrs, mask)
-            self._charge_reads(addrs if i < 0 else addrs[: i + 1], 8)
-            return None if i < 0 else i
-        read_u64 = self.read_u64
-        for i, addr in enumerate(addrs):
-            if not read_u64(addr) & mask:
-                return i
-        return None
-
-    def scan_ne_at(self, addrs, value: int) -> int | None:
-        """Index of the first address in ``addrs`` whose 8-byte word is
-        not ``value``, or None.
-
-        The contract is the loop below: one :meth:`read_u64` per probed
-        address, stopping at the first word that differs — the
-        directory's tenant sweep, whose slot addresses repeat and come
-        in key order."""
-        addrs = list(addrs)
-        if self._gathered(addrs, 8):
-            i = _first_ne(self._volatile, addrs, value)
-            self._charge_reads(addrs if i < 0 else addrs[: i + 1], 8)
-            return None if i < 0 else i
-        read_u64 = self.read_u64
-        for i, addr in enumerate(addrs):
-            if read_u64(addr) != value:
-                return i
-        return None
-
-    def scan_match_at(
-        self, addrs, key: bytes, *, mask: int = 1, key_offset: int = 8
-    ) -> int | None:
-        """Gather variant of :meth:`scan_match`: index of the first
-        address in ``addrs`` holding an occupied cell that stores ``key``.
-
-        The contract is the loop below: one ``read`` of header+key per
-        probed address, stopping at the match."""
-        addrs = list(addrs)
-        size = key_offset + len(key)
-        if key_offset >= 0 and self._gathered(addrs, size):
-            vol = self._volatile
-            found = next(
-                (
-                    i
-                    for i, addr in enumerate(addrs)
-                    if vol[addr] & mask and vol[addr + key_offset : addr + size] == key
-                ),
-                None,
-            )
-            self._charge_reads(addrs if found is None else addrs[: found + 1], size)
-            return found
-        for i, addr in enumerate(addrs):
-            raw = self.read(addr, size)
-            if raw[0] & mask and raw[key_offset:] == key:
-                return i
-        return None
-
-    def scan_match_pairs(
-        self, pairs, *, mask: int = 1, key_offset: int = 8
-    ) -> list[bool]:
-        """Independent occupied-and-matches tests over ``(addr, key)``
-        pairs; element ``i`` of the result is True iff the cell at
-        ``pairs[i][0]`` is occupied and stores ``pairs[i][1]``.
-
-        The contract is the loop below: one ``read`` of header+key per
-        pair (a full scan — every pair is tested). This is the batched
-        level-1 probe: one call filters a whole batch's home cells. The
-        base class decodes in place when every key has one length."""
-        pairs = list(pairs)
-        key_sizes = {len(key) for _, key in pairs}
-        if len(key_sizes) == 1 and key_offset >= 0:
-            size = key_offset + key_sizes.pop()
-            addrs = [addr for addr, _ in pairs]
-            if self._gathered(addrs, size):
-                vol = self._volatile
-                self._charge_reads(addrs, size)
-                return [
-                    bool(vol[addr] & mask)
-                    and vol[addr + key_offset : addr + size] == key
-                    for addr, key in pairs
-                ]
-        out: list[bool] = []
-        for addr, key in pairs:
-            raw = self.read(addr, key_offset + len(key))
-            out.append(bool(raw[0] & mask) and raw[key_offset:] == key)
-        return out
-
-    def scan_torn(
-        self, addr: int, stride: int, count: int, size: int, mask: int = 1
-    ) -> tuple[int | None, int]:
-        """``(index, occupied)``: the first of ``count`` strided cells
-        whose header byte 0 has no ``mask`` bit while its bytes
-        ``[8, size)`` are non-zero (None if there is none), and how many
-        cells before it have a ``mask`` bit — Algorithm 4's scan up to
-        the next cell it must reset.
-
-        The contract is the event sequence of :func:`_scan_torn_loop`:
-        one ``read(cell, size)`` per probed cell, stopping at the torn
-        cell."""
-        cells = self._window(addr, stride, count, size)
-        if cells is not None:
-            i, occupied = _first_torn(self._volatile, cells, size, mask)
-            self._charge_reads(cells if i < 0 else cells[: i + 1], size)
-            return None if i < 0 else i, occupied
-        return _scan_torn_loop(self, addr, stride, count, size, mask)
 
     # ------------------------------------------------------------------
     # bulk stores

@@ -17,6 +17,7 @@ Three layers of guarantees:
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from tests.conftest import (
@@ -221,8 +222,8 @@ def test_raw_scan_counts_reads_like_reference():
     assert sim.stats.reads - before_sim == raw.stats.reads - before_raw == 6
 
 
-#: every mask-taking scan, over 20 cells of 24 bytes (numpy scans need
-#: 16): each call returns its result and the backend's read counts
+#: every mask-taking scan, over 20 cells of 24 bytes: each call returns
+#: its result and the backend's read counts
 MASKED_SCANS = {
     "scan_clear_u64": lambda b, m: b.scan_clear_u64(0, 24, 20, m),
     "scan_occupied_bitmap": lambda b, m: b.scan_occupied_bitmap(0, 24, 20, m),
@@ -244,16 +245,13 @@ MASKED_SCANS = {
 
 @pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "pure"])
 @pytest.mark.parametrize("mask", [-1, 0x100, 1 << 40], ids=hex)
-def test_raw_scans_take_any_mask_like_the_simulator(monkeypatch, mask, numpy):
-    """A mask outside a header byte (negative, or above bit 7) gives the
-    raw backend's scans, numpy or pure, the simulator's answers and read
-    counts; a negative one used to reach numpy and overflow its uint8."""
+def test_raw_scans_take_any_mask_like_the_simulator(mask, numpy):
+    """A mask outside a header byte (negative, or above bit 7), given as
+    a numpy or a Python integer, gives the raw backend's scans the
+    simulator's answers and read counts."""
     if numpy:
-        monkeypatch.delenv("REPRO_NO_NUMPY", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+        mask = np.int64(mask)
     sim, raw = NVMRegion(8192), RawBackend(8192)
-    assert (raw._np is not None) == numpy
     for backend in (sim, raw):
         for i in range(20):
             header = (i % 3) << 41 | (i % 2) << 8 | (i % 5 == 0)

@@ -7,7 +7,7 @@ their per-call loops (a payload ``write`` and a ``read_u64`` /
 here both are compared with the loop itself, which the ``_Ref``
 subclass (and any armed crash or attached observer) runs. The batch
 hash ``HashFamily.hash_many`` must equal the scalar function key by key
-on both sides of its numpy cut-off and under ``REPRO_NO_NUMPY=1``.
+on both sides of its numpy cut-off.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from tests.test_scan_primitives import (
     _churn,
     _oracle_pair,
     _oracle_state,
+    _raw_state,
     _Ref,
 )
 
@@ -254,22 +255,12 @@ def test_armed_crash_fires_where_the_loop_fires(backend, after):
     assert outcomes[0][0] == (after <= 2 * len(CELLS) + len(LINES))
 
 
-def _raw_state(region):
-    return (
-        sorted(region._dirty),
-        region.stats.as_dict(),
-        region.peek_volatile(0, ORACLE_REGION),
-        region.peek_persistent(0, ORACLE_REGION),
-    )
-
-
 @pytest.mark.parametrize("mask", [1, 0x100])
-def test_raw_backend_native_stores_match_loop(monkeypatch, mask):
+def test_raw_backend_native_stores_match_loop(mask):
     """RawBackend's native path leaves the loop's dirty-line set,
-    counters and images after every step, with and without numpy:
-    sparse cells whose payloads straddle lines, a full flush, a
-    bitmap-only pass on clean lines (a multi-byte mask too), a partial
-    flush and a payload-only pass."""
+    counters and images after every step: sparse cells whose payloads
+    straddle lines, a full flush, a bitmap-only pass on clean lines (a
+    multi-byte mask too), a partial flush and a payload-only pass."""
     steps = [
         ("store", CELLS[1::4], PAYLOADS[1::4], 8, mask),
         ("flush", LINES),
@@ -277,56 +268,56 @@ def test_raw_backend_native_stores_match_loop(monkeypatch, mask):
         ("flush", LINES[::2]),
         ("store", CELLS[1::2], PAYLOADS[1::2], 8, 0),
     ]
-    for flag in ("0", "1"):
-        monkeypatch.setenv("REPRO_NO_NUMPY", flag)
-        native, looped = RawBackend(ORACLE_REGION), RawBackend(ORACLE_REGION)
-        for kind, *args in steps:
-            if kind == "store":
-                native.store_cells(*args)
-                _loop_store(looped, *args)
-            else:
-                native.flush_lines(*args)
-                _loop_flush(looped, *args)
-            assert _raw_state(native) == _raw_state(looped)
-        assert native._dirty
+    native, looped = RawBackend(ORACLE_REGION), RawBackend(ORACLE_REGION)
+    for kind, *args in steps:
+        if kind == "store":
+            native.store_cells(*args)
+            _loop_store(looped, *args)
+        else:
+            native.flush_lines(*args)
+            _loop_flush(looped, *args)
+        assert _raw_state(native) == _raw_state(looped)
+    assert native._dirty
 
 
 # ----------------------------------------------------------------------
 # the batch hash
 
 
-def _family(monkeypatch, no_numpy: bool) -> HashFamily:
-    monkeypatch.setenv("REPRO_NO_NUMPY", "1" if no_numpy else "0")
-    return HashFamily(seed=0xC0FFEE)
+#: batch sizes on each side of the numpy cut-off: below it (and empty)
+#: ``hash_many`` runs the scalar function, from it numpy's rounds
+BATCH_SIZES = {
+    "no-numpy": [0, 1, _NP_MIN_HASH - 1],
+    "numpy": [_NP_MIN_HASH, _NP_MIN_HASH + 1, 300],
+}
 
 
-@pytest.mark.parametrize("no_numpy", [False, True], ids=["numpy", "no-numpy"])
-@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@pytest.mark.parametrize("path", ["numpy", "no-numpy"])
+@settings(deadline=None)
 @given(
+    data=st.data(),
     width=st.sampled_from([8, 16, 1, 5, 12, 24]),
-    n=st.sampled_from([0, 1, _NP_MIN_HASH - 1, _NP_MIN_HASH, _NP_MIN_HASH + 1, 300]),
     index=st.integers(0, 3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_hash_many_matches_scalar_function(
-    monkeypatch, no_numpy, width, n, index, seed
-):
+def test_hash_many_matches_scalar_function(path, data, width, index, seed):
     """Key widths of 8 and 16 bytes and others (a short last word is
-    zero-padded), empty input, both sides of the cut-off, with numpy
-    and under REPRO_NO_NUMPY=1: bit-for-bit the scalar function."""
-    family = _family(monkeypatch, no_numpy)
+    zero-padded), empty input, batches on the ``path`` side of the
+    cut-off: bit-for-bit the scalar function."""
+    n = data.draw(st.sampled_from(BATCH_SIZES[path]), label="n")
+    family = HashFamily(seed=0xC0FFEE)
     rng = random.Random(seed)
     keys = [rng.randbytes(width) for _ in range(n)]
     function = HashFamily(seed=0xC0FFEE).function(index)
     assert family.hash_many(index, keys) == [function(key) for key in keys]
 
 
-@pytest.mark.parametrize("no_numpy", [False, True], ids=["numpy", "no-numpy"])
-def test_hash_many_mixed_widths_and_path_choice(monkeypatch, no_numpy):
-    """A uniform batch at the cut-off takes numpy unless
-    REPRO_NO_NUMPY=1; a mixed-width batch and a batch below the cut-off
-    run the scalar function."""
-    family = _family(monkeypatch, no_numpy)
+@pytest.mark.parametrize("path", ["numpy", "no-numpy"])
+def test_hash_many_mixed_widths_and_path_choice(monkeypatch, path):
+    """Uniform batches at and past the cut-off take numpy's rounds; a
+    mixed-width batch, a batch below the cut-off and an empty one run
+    the scalar function. Each equals the scalar function."""
+    family = HashFamily(seed=0xC0FFEE)
     rounds = []
     numpy_rounds = functions._splitmix64_np
 
@@ -338,11 +329,13 @@ def test_hash_many_mixed_widths_and_path_choice(monkeypatch, no_numpy):
     rng = random.Random(5)
     uniform = [rng.randbytes(8) for _ in range(_NP_MIN_HASH)]
     mixed = [rng.randbytes(rng.choice([8, 16, 3])) for _ in range(2 * _NP_MIN_HASH)]
+    batches = {
+        "numpy": [uniform, uniform * 2],
+        "no-numpy": [mixed, uniform[:-1], []],
+    }[path]
     function = family.function(1)
-    assert family.hash_many(1, uniform) == [function(key) for key in uniform]
-    assert rounds == ([] if no_numpy else [_NP_MIN_HASH] * 2)
-    rounds.clear()
-    assert family.hash_many(1, mixed) == [function(key) for key in mixed]
-    assert family.hash_many(1, uniform[:-1]) == [function(key) for key in uniform[:-1]]
-    assert family.hash_many(1, []) == []
-    assert rounds == []
+    for keys in batches:
+        rounds.clear()
+        assert family.hash_many(1, keys) == [function(key) for key in keys]
+        # an 8-byte key is one word: one round for it, one to finish
+        assert rounds == ([len(keys)] * 2 if path == "numpy" else [])

@@ -1,23 +1,22 @@
-"""Three-way parity for the vectorized scan primitives.
+"""Parity oracles for the scan primitives.
 
-Every bulk-probe primitive has three implementations: the simulator's
-read-loop reference (:class:`NVMRegion`), the raw backend's numpy fast
-path, and the raw backend's pure-Python fallback (``REPRO_NO_NUMPY=1``).
-The contract is that all three return identical results **and** charge
-identical access counts (``reads`` / ``bytes_read``) — an accelerated
-scan must account like the reference loop it replaces, or the paper's
-simulated event counts would silently drift with the host's numpy
-availability.
+Every bulk-probe primitive is written once (``repro.nvm.decode``): a
+decoder over the volatile image plus a per-call reference loop, charged
+by each backend's own policy. :class:`NVMRegion` and :class:`RawBackend`
+must return identical results **and** charge identical access counts
+(``reads`` / ``bytes_read``), and each must match its per-call loop,
+which a trivial subclass runs — a decoded scan must account like the
+loop it replaces, or the paper's simulated event counts would drift.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-import os
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -25,6 +24,7 @@ from hypothesis import strategies as st
 from tests.conftest import SMALL_CACHE, count_cache_calls, small_region
 
 from repro import CacheConfig, NVMRegion, RawBackend, SimConfig
+from repro.nvm.decode import _CLEAR_CHUNK, _CLEAR_GROWTH
 from repro.nvm.latency import PAPER_NVM, LatencyModel
 from repro.nvm.memory import _MIN_WINDOW
 from repro.nvm.wearlevel import WearLevelledRegion
@@ -49,19 +49,12 @@ def _fill(backend, occupied_mod: int = 3, dup_every: int = 11) -> None:
             backend.write_u64(addr, i << 8)  # mask bit clear, junk above
 
 
-def _backends(monkeypatch):
-    """(label, backend) triples: sim reference, raw+numpy, raw pure."""
-    sim = small_region()
-    monkeypatch.delenv("REPRO_NO_NUMPY", raising=False)
-    fast = RawBackend(4 << 20)
-    assert fast._np is not None, "numpy must be available in this image"
-    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    pure = RawBackend(4 << 20)
-    monkeypatch.delenv("REPRO_NO_NUMPY")
-    assert pure._np is None
-    for b in (sim, fast, pure):
+def _backends():
+    """(label, backend) pairs: the simulator and the raw backend."""
+    sim, raw = small_region(), RawBackend(4 << 20)
+    for b in (sim, raw):
         _fill(b)
-    return [("sim", sim), ("raw-numpy", fast), ("raw-pure", pure)]
+    return [("sim", sim), ("raw", raw)]
 
 
 def _counts(backend):
@@ -88,8 +81,8 @@ def key_of(i: int) -> bytes:
     return i.to_bytes(KEY_SIZE, "little")
 
 
-def test_scan_clear_u64_parity(monkeypatch):
-    backends = _backends(monkeypatch)
+def test_scan_clear_u64_parity():
+    backends = _backends()
     first_clear = _assert_parity(
         backends, lambda b: b.scan_clear_u64(BASE, STRIDE, COUNT)
     )
@@ -106,8 +99,8 @@ def test_scan_clear_u64_parity(monkeypatch):
     _assert_parity(backends, lambda b: b.scan_clear_u64(BASE + STRIDE, STRIDE, 2))
 
 
-def test_scan_match_parity(monkeypatch):
-    backends = _backends(monkeypatch)
+def test_scan_match_parity():
+    backends = _backends()
     hit = _assert_parity(
         backends,
         lambda b: b.scan_match(
@@ -127,8 +120,8 @@ def test_scan_match_parity(monkeypatch):
     )
 
 
-def test_scan_occupied_bitmap_parity(monkeypatch):
-    backends = _backends(monkeypatch)
+def test_scan_occupied_bitmap_parity():
+    backends = _backends()
     bitmap = _assert_parity(
         backends, lambda b: b.scan_occupied_bitmap(BASE, STRIDE, COUNT)
     )
@@ -136,8 +129,8 @@ def test_scan_occupied_bitmap_parity(monkeypatch):
     assert bitmap == expected
 
 
-def test_gather_primitives_parity(monkeypatch):
-    backends = _backends(monkeypatch)
+def test_gather_primitives_parity():
+    backends = _backends()
     # scattered, deliberately unsorted address list (mix of occupancy)
     idxs = [5, 0, 17, 3, 30, 12, 9]
     addrs = [BASE + i * STRIDE for i in idxs]
@@ -160,8 +153,8 @@ def test_gather_primitives_parity(monkeypatch):
     )
 
 
-def test_scan_match_many_parity(monkeypatch):
-    backends = _backends(monkeypatch)
+def test_scan_match_many_parity():
+    backends = _backends()
     keys = [key_of(4), key_of(0), key_of(25), key_of(99), key_of(4)]
     result = _assert_parity(
         backends,
@@ -172,8 +165,8 @@ def test_scan_match_many_parity(monkeypatch):
     assert result == [4, None, 25, None, 4]
 
 
-def test_scan_probe_parity(monkeypatch):
-    backends = _backends(monkeypatch)
+def test_scan_probe_parity():
+    backends = _backends()
     # match before any empty cell (start at cell 1, occupied)
     assert _assert_parity(
         backends,
@@ -200,8 +193,8 @@ def test_scan_probe_parity(monkeypatch):
     )
 
 
-def test_scan_match_pairs_parity(monkeypatch):
-    backends = _backends(monkeypatch)
+def test_scan_match_pairs_parity():
+    backends = _backends()
     pairs = [
         (BASE + 7 * STRIDE, key_of(7)),  # occupied, right key
         (BASE + 7 * STRIDE, key_of(8)),  # occupied, wrong key
@@ -215,16 +208,11 @@ def test_scan_match_pairs_parity(monkeypatch):
 
 
 @pytest.mark.parametrize("key_size", [8, 12])
-def test_fuzz_parity(monkeypatch, key_size):
-    """Randomized occupancy/keys/windows across every primitive; the
-    12-byte key exercises the generic (non-u64) raw fast path."""
+def test_fuzz_parity(key_size):
+    """Randomized occupancy/keys/windows across every primitive, with
+    8- and 12-byte keys."""
     rng = random.Random(0xF00D + key_size)
-    sim = small_region()
-    monkeypatch.delenv("REPRO_NO_NUMPY", raising=False)
-    fast = RawBackend(4 << 20)
-    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    pure = RawBackend(4 << 20)
-    monkeypatch.delenv("REPRO_NO_NUMPY")
+    sim, raw = small_region(), RawBackend(4 << 20)
     stride = 8 + ((key_size + 7) // 8) * 8 + 8
     count = 64
     keys = []
@@ -233,10 +221,10 @@ def test_fuzz_parity(monkeypatch, key_size):
         header = rng.choice([0, 1]) | (rng.getrandbits(32) << 8)
         key = rng.getrandbits(8 * key_size).to_bytes(key_size, "little")
         keys.append(key)
-        for b in (sim, fast, pure):
+        for b in (sim, raw):
             b.write_u64(addr, header)
             b.write(addr + 8, key)
-    backends = [("sim", sim), ("raw-numpy", fast), ("raw-pure", pure)]
+    backends = [("sim", sim), ("raw", raw)]
     for _ in range(40):
         start = rng.randrange(count)
         n = rng.randrange(1, count - start + 1)
@@ -266,8 +254,8 @@ def test_fuzz_parity(monkeypatch, key_size):
             _assert_parity(backends, lambda b: b.scan_torn(base, stride, n, size))
 
 
-def test_scan_torn_parity(monkeypatch):
-    backends = _backends(monkeypatch)
+def test_scan_torn_parity():
+    backends = _backends()
     # free cells 9 and 30 get a payload: torn; every other free cell is zero
     for _, b in backends:
         b.write(BASE + 9 * STRIDE + KEY_OFFSET, key_of(9))
@@ -288,14 +276,13 @@ def test_scan_torn_parity(monkeypatch):
 
 
 @pytest.mark.parametrize("mask", [1, 1 << 40])
-def test_whole_region_gather_parity(monkeypatch, mask):
+def test_whole_region_gather_parity(mask):
     """A gather over every header word of 1 MiB (2^17 addresses, the
     scale of the generic recover on a large table) gives one bitmap and
-    one read count on every path: numpy, the pure RawBackend, the
-    simulator's decoder and a subclass's per-word loop. The last two
-    build their bitmap from one digit string, linear in the address
-    count."""
-    backends = _backends(monkeypatch)
+    one read count on every path: the decoder charged by the simulator
+    and by RawBackend, and a subclass's per-word loop. Both build their
+    bitmap from one digit string, linear in the address count."""
+    backends = _backends()
     backends.append(("loop", _Ref(4 << 20, SimConfig(cache=SMALL_CACHE))))
     image = random.Random(17).randbytes(1 << 20)
     for _, b in backends:
@@ -307,15 +294,7 @@ def test_whole_region_gather_parity(monkeypatch, mask):
     )
 
 
-def _raw(size: int, numpy: bool) -> RawBackend:
-    """A RawBackend on the numpy or the pure-Python scan paths."""
-    with mock.patch.dict(os.environ, {"REPRO_NO_NUMPY": "0" if numpy else "1"}):
-        backend = RawBackend(size)
-    assert (backend._np is not None) == numpy
-    return backend
-
-
-def _gather_outcome(backend, call):
+def _scan_outcome(backend, call):
     """Result or IndexError message of ``call(backend)``, and its
     ``(reads, bytes_read)`` delta."""
     before = _counts(backend)
@@ -326,50 +305,80 @@ def _gather_outcome(backend, call):
     return outcome, tuple(a - b for a, b in zip(_counts(backend), before))
 
 
+def _int64s(addrs):
+    """``addrs`` as a numpy int64 array, as a caller holding
+    ``hash_many``'s output may hand a gather."""
+    return np.array(addrs, dtype=np.int64)
+
+
 #: gathers that reach outside a 4 KiB region whose first cell holds
-#: header 3 and key 0x01..: short ones run the pure loops, the
-#: 40-address ones the numpy paths of the gathers that have one
+#: header 3 and key 0x01.., their addresses passed through ``a`` (a
+#: list, or a numpy int64 array)
 OUT_OF_RANGE_GATHERS = {
-    "clear_at-neg": lambda b: b.scan_clear_at([-8]),
-    "match_at-neg": lambda b: b.scan_match_at([-24], b"\0" * 8),
-    "pairs-neg": lambda b: b.scan_match_pairs([(-24, b"\0" * 8)]),
-    "ne_at-neg": lambda b: b.scan_ne_at([-8], 0),
-    "occupied_at-end": lambda b: b.scan_occupied_at([4096] * 40),
-    "occupied_at-tail": lambda b: b.scan_occupied_at([0] * 39 + [4090]),
-    "clear_at-tail": lambda b: b.scan_clear_at([0] * 39 + [-8], 2),
-    "match_at-tail": lambda b: b.scan_match_at([0] * 39 + [4088], b"\0" * 8),
-    "pairs-tail": lambda b: b.scan_match_pairs([(0, b"\0" * 8)] * 39 + [(-8, b"")]),
-    "ne_at-tail": lambda b: b.scan_ne_at([0] * 39 + [4089], 3),
+    "clear_at-neg": lambda b, a: b.scan_clear_at(a([-8])),
+    "match_at-neg": lambda b, a: b.scan_match_at(a([-24]), b"\0" * 8),
+    "pairs-neg": lambda b, a: b.scan_match_pairs(zip(a([-24]), [b"\0" * 8])),
+    "ne_at-neg": lambda b, a: b.scan_ne_at(a([-8]), 0),
+    "occupied_at-end": lambda b, a: b.scan_occupied_at(a([4096] * 40)),
+    "occupied_at-tail": lambda b, a: b.scan_occupied_at(a([0] * 39 + [4090])),
+    "clear_at-tail": lambda b, a: b.scan_clear_at(a([0] * 39 + [-8]), 2),
+    "match_at-tail": lambda b, a: b.scan_match_at(a([0] * 39 + [4088]), b"\0" * 8),
+    "pairs-tail": lambda b, a: b.scan_match_pairs(
+        zip(a([0] * 39 + [-8]), [b"\0" * 8] * 39 + [b""])
+    ),
+    "ne_at-tail": lambda b, a: b.scan_ne_at(a([0] * 39 + [4089]), 3),
     # the probe stops before the bad address: no error
-    "ne_at-stops": lambda b: b.scan_ne_at([0, 8, -8], 3),
-    "match_at-stops": lambda b: b.scan_match_at([0, -8], b"\1" * 8),
+    "ne_at-stops": lambda b, a: b.scan_ne_at(a([0, 8, -8]), 3),
+    "match_at-stops": lambda b, a: b.scan_match_at(a([0, -8]), b"\1" * 8),
 }
 
 
 @pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "pure"])
 @pytest.mark.parametrize("name", sorted(OUT_OF_RANGE_GATHERS))
 def test_raw_gathers_raise_like_the_read_loop(name, numpy):
-    """A RawBackend gather reaching outside the region raises the
-    IndexError of the loop of reads, after counting the reads that loop
-    made — never reading the region's tail for a negative address."""
-    call = OUT_OF_RANGE_GATHERS[name]
-    backends = _raw(4096, numpy), _Ref(4096)
+    """A RawBackend gather reaching outside the region, its addresses in
+    a numpy array or a list, raises the IndexError of the loop of reads,
+    after counting the reads that loop made — never reading the region's
+    tail for a negative address."""
+    gather, addrs = OUT_OF_RANGE_GATHERS[name], _int64s if numpy else list
+    backends = RawBackend(4096), _Ref(4096)
     for backend in backends:
         backend.write_u64(0, 3)
         backend.write(8, b"\1" * 8)
-    raw, ref = (_gather_outcome(backend, call) for backend in backends)
+    raw, ref = (
+        _scan_outcome(backend, lambda b: gather(b, addrs)) for backend in backends
+    )
     assert raw == ref
 
 
-def test_no_numpy_env_flag(monkeypatch):
-    """The fallback flag is honoured at construction time."""
-    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    assert RawBackend(1 << 16)._np is None
-    monkeypatch.delenv("REPRO_NO_NUMPY")
-    assert RawBackend(1 << 16)._np is not None
-    # unset (not just falsy) also enables the fast path
-    monkeypatch.setenv("REPRO_NO_NUMPY", "")
-    assert RawBackend(1 << 16)._np is not None
+#: windows past the end of a 4 KiB region whose first cell holds header
+#: 1 and key 0x01.., or with a stride under a header word: the loop
+#: answers early or raises after counting its reads
+LOOP_WINDOWS = {
+    "clear_u64-past-end": lambda b: b.scan_clear_u64(4000, 24, 10),
+    "clear_u64-stride-4": lambda b: b.scan_clear_u64(0, 4, 3),
+    "probe-past-end": lambda b: b.scan_probe(4000, 24, 10, b"\1" * 8),
+    "match-past-end": lambda b: b.scan_match(4000, 24, 10, b"\1" * 8),
+    "match_many-past-end": lambda b: b.scan_match_many(
+        4000, 24, 10, [b"\1" * 8, b"\2" * 8]
+    ),
+    "occupied_bitmap-past-end": lambda b: b.scan_occupied_bitmap(4000, 24, 10),
+    "occupied_bitmap-stride-0": lambda b: b.scan_occupied_bitmap(0, 0, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOOP_WINDOWS))
+def test_raw_windows_outside_the_decoder_run_the_loop(name):
+    """A RawBackend window that runs past the region or has a stride
+    under 8 gives the simulator's answer or IndexError, after the same
+    ``reads`` and ``bytes_read``."""
+    call = LOOP_WINDOWS[name]
+    backends = RawBackend(4096), NVMRegion(4096)
+    for backend in backends:
+        backend.write_u64(0, 1)
+        backend.write(8, b"\1" * 8)
+    raw, sim = (_scan_outcome(backend, call) for backend in backends)
+    assert raw == sim
 
 
 # ----------------------------------------------------------------------
@@ -461,9 +470,28 @@ def _churn(rng, regions):
             _both(regions, "clflush", regions[0]._fast_line * regions[0].line_size)
 
 
+#: a header with a bit of every mask the oracles draw
+FULL_HEADER = 0x1FF | 1 << 40
+
+
+def _chunk_edges(count: int) -> list[int]:
+    """Cell indices on and beside each edge between two chunks of the
+    clear-bit decoder (``_CLEAR_CHUNK`` cells, each further chunk
+    ``_CLEAR_GROWTH`` times the one before) inside a window of ``count``
+    cells."""
+    edges, edge, chunk = [], _CLEAR_CHUNK, _CLEAR_CHUNK
+    while edge < count:
+        edges += [edge - 1, edge, edge + 1]
+        chunk *= _CLEAR_GROWTH
+        edge += chunk
+    return edges
+
+
 def _plant(rng, regions, cells, keys, name):
     """Headers with random occupancy and junk above byte 0, and keys
-    drawn from ``keys``, at every in-region cell of ``cells``. For
+    drawn from ``keys``, at every in-region cell of ``cells``, after a
+    leading run of cells occupied under every mask, whose length is
+    often one beside a chunk edge of the clear-bit decoder. For
     ``scan_torn`` a payload is as often all zero and a header may carry
     only bit 7, so free cells are torn or clean; the other primitives
     keep their key-match rate."""
@@ -473,9 +501,10 @@ def _plant(rng, regions, cells, keys, name):
     if name == "scan_torn":
         headers = headers + [0x80]
         payloads = keys + [bytes(key_size)] * len(keys)
-    for addr in cells:
+    run = rng.choice([0, rng.randrange(len(cells) + 1)] + _chunk_edges(len(cells)))
+    for i, addr in enumerate(cells):
         if addr + 8 + key_size <= ORACLE_REGION:
-            header = rng.choice(headers)
+            header = FULL_HEADER if i < run else rng.choice(headers)
             cell = header.to_bytes(8, "little") + rng.choice(payloads)
             _both(regions, "write", addr, cell)
 
@@ -483,12 +512,13 @@ def _plant(rng, regions, cells, keys, name):
 def _scan_args(data, rng, name, keys):
     """Cells to plant, and the arguments of one ``name`` call over a
     drawn window or gather (gathers may repeat and descend). A window
-    may end within a byte of the region's end, and the match-many and
-    pairs scans may mix key lengths."""
+    may end within a byte of the region's end or cross three chunk edges
+    of the clear-bit decoder, and the match-many and pairs scans may mix
+    key lengths."""
     key = data.draw(st.sampled_from(keys + [b"\xee" * len(keys[0])]), label="key")
     mask = data.draw(st.sampled_from([1, 3, 0x80, 0x100, 0x101, 1 << 40, -1]))
     stride = data.draw(st.sampled_from([4, 8, 12, 16, 24, 40, 72, 136]), label="stride")
-    count = data.draw(st.integers(0, 24), label="count")
+    count = data.draw(st.integers(0, 24) | st.integers(25, 200), label="count")
     words = ("scan_clear", "scan_occupied", "scan_ne")
     access = 8 if name.startswith(words) else 8 + len(key)
     if name == "scan_torn":
@@ -529,7 +559,7 @@ def _scan_args(data, rng, name, keys):
 def _outcome(region, name, args, kwargs):
     """Result or IndexError of one scan, which must neither tick an armed
     crash countdown nor notify an observer, plus the clock each dirty
-    eviction's wear observer read."""
+    eviction's wear observer read (a simulator's)."""
     seen = []
     wear_log = []
     region.arm_crash(1)
@@ -537,7 +567,8 @@ def _outcome(region, name, args, kwargs):
         seen.append(event)
 
     region.observe(observer)
-    if region.wear is not None:
+    wear = getattr(region, "wear", None)
+    if wear is not None:
         region.wear.observe(
             lambda line: wear_log.append((line, region.stats.sim_time_ns))
         )
@@ -548,7 +579,7 @@ def _outcome(region, name, args, kwargs):
     assert region._crash_countdown == 1 and seen == []
     region.disarm_crash()
     region.unobserve(observer)
-    if region.wear is not None:
+    if wear is not None:
         region.wear.unobserve(region.wear.observers[0])
     return outcome, wear_log
 
@@ -575,6 +606,45 @@ def test_fused_scan_matches_per_word_loop(name, data):
         assert _oracle_state(fused) == _oracle_state(ref)
 
 
+class _RawRef(RawBackend):
+    """Runs every scan's per-word loop (RawBackend decodes in place only
+    on the class itself)."""
+
+
+def _raw_state(region):
+    """Everything a RawBackend call may change: dirty lines, counters
+    and both images."""
+    return (
+        sorted(region._dirty),
+        region.stats.as_dict(),
+        region.peek_volatile(0, ORACLE_REGION),
+        region.peek_persistent(0, ORACLE_REGION),
+    )
+
+
+@pytest.mark.parametrize("name", PRIMITIVES)
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_raw_scan_matches_per_word_loop(name, data):
+    """Each RawBackend primitive returns what the per-word loop returns
+    on a RawBackend twin (or raises its IndexError) and leaves the same
+    ``reads``, ``bytes_read`` and every other counter, dirty line and
+    image byte."""
+    decoded, looped = regions = RawBackend(ORACLE_REGION), _RawRef(ORACLE_REGION)
+    key_size = data.draw(st.sampled_from([8, 12]), label="key_size")
+    keys = [
+        bytes([i + 1]) * key_size for i in range(data.draw(st.integers(1, 3)))
+    ]
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    for _ in range(data.draw(st.integers(1, 3), label="rounds")):
+        window, args, kwargs = _scan_args(data, rng, name, keys)
+        _plant(rng, regions, window, keys, name)
+        assert _outcome(decoded, name, args, kwargs) == _outcome(
+            looped, name, args, kwargs
+        )
+        assert _raw_state(decoded) == _raw_state(looped)
+
+
 def test_fused_scan_out_of_range_raises_like_loop():
     """A window running past the region raises IndexError after charging
     the in-range prefix, exactly as the loop does."""
@@ -597,8 +667,9 @@ NE_BACKENDS = {
     "wear-levelled": lambda: WearLevelledRegion(
         NE_REGION, SimConfig(cache=SMALL_CACHE), rotate_every=8
     ),
-    "raw-numpy": lambda: _raw(NE_REGION, True),
-    "raw-pure": lambda: _raw(NE_REGION, False),
+    # the raw backend, gathering a numpy int64 array or a list
+    "raw-numpy": lambda: RawBackend(NE_REGION),
+    "raw-pure": lambda: RawBackend(NE_REGION),
 }
 
 
@@ -643,6 +714,8 @@ def test_scan_ne_at_matches_read_u64_loop(kind, data):
         label="out_of_range",
     )
     addrs = [rng.choice(pool) for _ in range(data.draw(st.integers(0, 40)))]
+    if kind == "raw-numpy":
+        addrs = _int64s(addrs)
     value = data.draw(
         st.sampled_from([same, same, 0, 2**64 - 1, -1]), label="value"
     )
