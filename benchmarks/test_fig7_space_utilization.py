@@ -18,14 +18,14 @@ def result():
 
 
 def test_fig7_driver(benchmark):
-    from repro.bench.runner import measure_space_utilization
+    from repro.bench.runner import UtilizationSpec, measure_space_utilization
 
+    spec = UtilizationSpec(
+        "group", total_cells=SCALE.total_cells, group_size=SCALE.group_size, seed=SEED
+    )
     util = benchmark.pedantic(
         measure_space_utilization,
-        args=("group", "randomnum"),
-        kwargs=dict(
-            total_cells=SCALE.total_cells, group_size=SCALE.group_size, seed=SEED
-        ),
+        args=(spec,),
         rounds=1,
         iterations=1,
     )

@@ -16,15 +16,14 @@ def result():
 
 
 def test_table3_driver(benchmark):
-    from repro.bench.runner import measure_recovery
+    from repro.bench.runner import RecoverySpec, measure_recovery
 
+    spec = RecoverySpec(
+        total_cells=SCALE.recovery_cells[0], group_size=SCALE.group_size, seed=SEED
+    )
     out = benchmark.pedantic(
         measure_recovery,
-        kwargs=dict(
-            total_cells=SCALE.recovery_cells[0],
-            group_size=SCALE.group_size,
-            seed=SEED,
-        ),
+        args=(spec,),
         rounds=1,
         iterations=1,
     )

@@ -3,7 +3,9 @@
 Runs the same benchmark twice against a throwaway cache directory and
 compares the machine-readable ``cache_stats`` block of the ``--json``
 dumps — the cold run must execute every cell, the warm run must serve
-every cell from cache. No timing heuristics, no stdout scraping, and
+every cell from cache — and then the rest of the two dumps, which must
+be equal: results decoded from the cache must report exactly what the
+executed cells did. No timing heuristics, no stdout scraping, and
 nothing left behind in the workspace: both the cache and the JSON dumps
 live in a :class:`~tempfile.TemporaryDirectory`.
 
@@ -47,7 +49,8 @@ def run_bench(experiment: str, jobs: int, cache_dir: Path, json_path: Path) -> d
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Cold run, warm run, assert the warm one was served from cache."""
+    """Cold run, warm run, assert the warm one was served from cache
+    and reported the same results."""
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--experiment", default="fig5")
     parser.add_argument("--jobs", type=int, default=2)
@@ -55,12 +58,14 @@ def main(argv: list[str] | None = None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="bench-cache-ci-") as tmp:
         tmp_path = Path(tmp)
-        cold = run_bench(
+        cold_dump = run_bench(
             args.experiment, args.jobs, tmp_path / "cache", tmp_path / "cold.json"
-        )["cache_stats"]
-        warm = run_bench(
+        )
+        warm_dump = run_bench(
             args.experiment, args.jobs, tmp_path / "cache", tmp_path / "warm.json"
-        )["cache_stats"]
+        )
+    cold = cold_dump.pop("cache_stats")
+    warm = warm_dump.pop("cache_stats")
 
     print(f"cold: {cold}")
     print(f"warm: {warm}")
@@ -80,7 +85,13 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 1
-    print(f"ok: {cold['executed']} cell(s) executed cold, all served warm")
+    if warm_dump != cold_dump:
+        print("FAIL: warm dump differs from the cold dump", file=sys.stderr)
+        return 1
+    print(
+        f"ok: {cold['executed']} cell(s) executed cold, all served warm "
+        "with an identical dump"
+    )
     return 0
 
 

@@ -149,6 +149,10 @@ def main(argv: list[str] | None = None) -> int:
         "grid cell (probe histograms, WAL counters, group heat)",
     )
     args = parser.parse_args(argv)
+    if args.jobs is not None and args.jobs < 1:
+        parser.error("--jobs must be at least 1")
+    if args.budget is not None and args.budget < 0:
+        parser.error("--budget must be at least 0")
 
     from repro.bench.cache import NO_CACHE_ENV, ResultCache
     from repro.bench.engine import Engine

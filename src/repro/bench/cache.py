@@ -1,11 +1,12 @@
 """Content-addressed on-disk cache for benchmark results.
 
-Every unit of benchmark work is a frozen spec dataclass (a
-:class:`~repro.bench.runner.RunSpec`, :class:`~repro.bench.runner.UtilizationSpec`,
-:class:`~repro.bench.runner.RecoverySpec` or
-:class:`~repro.bench.runner.NegativeQuerySpec`). Results are pure
-functions of (spec, simulator code), so a cache entry is keyed by the
-SHA-256 of:
+Every unit of benchmark work is a frozen spec dataclass: one of the
+six kinds in :mod:`repro.bench.runner` (``RunSpec``, ``MixedSpec``,
+``UtilizationSpec``, ``RecoverySpec``, ``NegativeQuerySpec``,
+``GrowthSpec``) or one of the four that experiments register
+(``ConcurrentSpec``, ``ServingSpec``, ``TimelineSpec``,
+``CrashMatrixSpec``). Results are pure functions of (spec, simulator
+code), so a cache entry is keyed by the SHA-256 of:
 
 - the spec's kind (its class name),
 - every dataclass field of the spec, and
@@ -23,6 +24,10 @@ written atomically (temp file + rename) so parallel workers and
 interrupted runs can never leave a torn entry. The default root is
 ``.bench-cache`` in the working directory, overridable with the
 ``REPRO_BENCH_CACHE_DIR`` environment variable or ``--cache-dir``.
+
+:func:`encode` and :func:`decode` are the one JSON codec for specs and
+results: a spec's fingerprint, a cached payload and an experiment's
+``"spec"`` block are all :func:`encode` output.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ import hashlib
 import json
 import os
 import tempfile
+import types
+import typing
 from functools import lru_cache
 from pathlib import Path
 from typing import Any
@@ -68,6 +75,30 @@ def code_version() -> str:
     return digest.hexdigest()[:16]
 
 
+def encode(obj: Any) -> Any:
+    """JSON-ready form of a spec or result: a dataclass becomes its
+    :func:`dataclasses.asdict` (nested dataclasses included), any other
+    value (the executors' plain ``dict``/``float`` results) is returned
+    as it is."""
+    return dataclasses.asdict(obj) if dataclasses.is_dataclass(obj) else obj
+
+
+def decode(tp: Any, data: Any) -> Any:
+    """Inverse of :func:`encode` for a value of type ``tp``.
+
+    A dataclass ``tp`` (or a union such as ``OpMix | None`` that holds
+    one) is rebuilt field by field from :func:`typing.get_type_hints`,
+    recursing into dataclass-typed fields; ``None`` and every other type
+    come back as they are."""
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):
+        args = typing.get_args(tp)
+        tp = next((arg for arg in args if dataclasses.is_dataclass(arg)), None)
+    if data is None or not dataclasses.is_dataclass(tp):
+        return data
+    hints = typing.get_type_hints(tp)
+    return tp(**{name: decode(hints.get(name), v) for name, v in data.items()})
+
+
 def spec_fingerprint(spec: Any) -> str:
     """Content digest of one frozen spec dataclass (full SHA-256 hex).
 
@@ -78,7 +109,7 @@ def spec_fingerprint(spec: Any) -> str:
     """
     payload = {
         "kind": type(spec).__name__,
-        "spec": dataclasses.asdict(spec),
+        "spec": encode(spec),
         "code": code_version(),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))

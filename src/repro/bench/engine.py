@@ -28,10 +28,11 @@ the *simulator* must not short-circuit through the cache).
 from __future__ import annotations
 
 import os
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Sequence
 
-from repro.bench.cache import NO_CACHE_ENV, ResultCache
+from repro.bench.cache import NO_CACHE_ENV, ResultCache, decode, encode
 from repro.bench.runner import (
     GrowthSpec,
     MixedResult,
@@ -42,51 +43,45 @@ from repro.bench.runner import (
     RunSpec,
     UtilizationSpec,
     measure_negative_queries,
+    measure_recovery,
+    measure_space_utilization,
     run_growth_workload,
     run_mixed_workload,
-    run_recovery_spec,
-    run_utilization_spec,
     run_workload,
 )
 
-#: every spec kind the engine can execute:
-#: type -> (execute, encode result -> JSON, decode JSON -> result)
-SPEC_KINDS: dict[type, tuple[Callable, Callable, Callable]] = {
-    RunSpec: (run_workload, lambda r: r.to_dict(), RunResult.from_dict),
-    MixedSpec: (run_mixed_workload, lambda r: r.to_dict(), MixedResult.from_dict),
-    UtilizationSpec: (run_utilization_spec, lambda r: r, lambda p: p),
-    RecoverySpec: (run_recovery_spec, lambda r: dict(r), lambda p: dict(p)),
-    NegativeQuerySpec: (measure_negative_queries, lambda r: dict(r), lambda p: dict(p)),
-    GrowthSpec: (run_growth_workload, lambda r: dict(r), lambda p: dict(p)),
+#: every spec kind the engine can execute: spec type -> executor
+SPEC_KINDS: dict[type, Callable] = {
+    RunSpec: run_workload,
+    MixedSpec: run_mixed_workload,
+    UtilizationSpec: measure_space_utilization,
+    RecoverySpec: measure_recovery,
+    NegativeQuerySpec: measure_negative_queries,
+    GrowthSpec: run_growth_workload,
 }
 
 
-def register_spec_kind(
-    spec_type: type,
-    execute: Callable,
-    encode: Callable | None = None,
-    decode: Callable | None = None,
-) -> None:
+def register_spec_kind(spec_type: type, execute: Callable) -> None:
     """Register an additional spec kind with the engine.
+
+    ``execute(spec)`` computes the result. The cache stores
+    :func:`~repro.bench.cache.encode` of it and, on a hit, rebuilds it
+    with :func:`~repro.bench.cache.decode` at ``execute``'s return
+    annotation, so the annotation must name the result type (a result
+    dataclass, or ``dict``/``float`` for plain JSON values).
 
     Must run as an import-time side effect of the module *defining*
     ``spec_type``: pool workers unpickle a spec (importing its module,
     and therefore registering it) before :func:`execute_spec` looks the
     kind up, so registration-by-import is what keeps ``--jobs`` fan-out
-    working for externally defined kinds. ``encode``/``decode`` default
-    to the identity, which suits executors that already return plain
-    JSON-ready dicts."""
-    SPEC_KINDS[spec_type] = (
-        execute,
-        encode or (lambda r: r),
-        decode or (lambda p: p),
-    )
+    working for externally defined kinds."""
+    SPEC_KINDS[spec_type] = execute
 
 
 def execute_spec(spec: Any) -> Any:
     """Run one spec of any registered kind (the pool-worker entrypoint)."""
     try:
-        execute, _, _ = SPEC_KINDS[type(spec)]
+        execute = SPEC_KINDS[type(spec)]
     except KeyError:
         raise TypeError(
             f"unknown spec kind {type(spec).__name__}; "
@@ -163,22 +158,21 @@ class Engine:
         for spec in unique:
             payload = self.cache.get(spec) if self.cache is not None else None
             if payload is not None:
-                _, _, decode = SPEC_KINDS[type(spec)]
-                unique[spec] = (True, decode(payload["result"]))
+                hints = typing.get_type_hints(SPEC_KINDS[type(spec)])
+                unique[spec] = decode(hints.get("return"), payload["result"])
                 self.cache_hits += 1
             else:
                 todo.append(spec)
 
         for spec, result in zip(todo, self._execute_all(todo)):
-            unique[spec] = (True, result)
+            unique[spec] = result
             self.executed += 1
             if self.cache is not None:
-                _, encode, _ = SPEC_KINDS[type(spec)]
                 self.cache.put(spec, {"result": encode(result)})
 
         results = []
         for spec in specs:
-            _, result = unique[spec]
+            result = unique[spec]
             self._collect_warnings(spec, result)
             results.append(result)
         return results
@@ -248,9 +242,3 @@ def default_engine() -> Engine:
         use_cache = not os.environ.get(NO_CACHE_ENV)
         _default_engine = Engine(jobs=1, cache=None if use_cache else False)
     return _default_engine
-
-
-def reset_default_engine() -> None:
-    """Drop the memoised default engine (tests re-point the cache)."""
-    global _default_engine
-    _default_engine = None

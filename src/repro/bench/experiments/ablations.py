@@ -75,8 +75,8 @@ def run_clwb(scale: Scale, seed: int = 42, engine=None) -> ExperimentResult:
         for invalidates, label in ((True, "clflush"), (False, "clwb"))
     ]
     specs = [
-        RunSpec.from_scale(scheme, "randomnum", 0.5, scale, seed=seed).replace(
-            flush_invalidates=invalidates
+        RunSpec.from_scale(
+            scheme, "randomnum", 0.5, scale, seed=seed, flush_invalidates=invalidates
         )
         for scheme, _, invalidates in cells
     ]

@@ -20,10 +20,10 @@ failure.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from dataclasses import dataclass
 
+from repro.bench.cache import encode
 from repro.bench.config import Scale, build_table, make_trace
 from repro.bench.engine import default_engine, register_spec_kind
 from repro.bench.experiments import ExperimentResult, attach_warnings
@@ -76,19 +76,6 @@ class ConcurrentSpec:
             cache_ratio=scale.cache_ratio,
             **kw,
         )
-
-    def replace(self, **changes) -> "ConcurrentSpec":
-        """A copy with ``changes`` applied (frozen-dataclass update)."""
-        return dataclasses.replace(self, **changes)
-
-    def to_dict(self) -> dict:
-        """JSON-ready field dict (inverse of :meth:`from_dict`)."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ConcurrentSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
-        return cls(**data)
 
     @property
     def label(self) -> str:
@@ -171,7 +158,7 @@ def run_concurrent_spec(spec: ConcurrentSpec) -> dict:
     )
     committed = len(result.committed)
     return {
-        "spec": spec.to_dict(),
+        "spec": encode(spec),
         "clients": spec.n_clients,
         "ops": result.ops,
         "committed": committed,

@@ -33,8 +33,9 @@ ops* — recovery is proven with concurrent work outstanding.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
+from repro.bench.cache import encode
 from repro.bench.config import build_table
 from repro.bench.engine import default_engine, register_spec_kind
 from repro.bench.experiments import ExperimentResult
@@ -95,15 +96,6 @@ class CrashMatrixSpec:
     #: two different clients' in-flight ops
     clients: int = 0
     seed: int = 42
-
-    def to_dict(self) -> dict:
-        """JSON-ready field dict."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CrashMatrixSpec":
-        """Inverse of :meth:`to_dict`."""
-        return cls(**payload)
 
     @property
     def label(self) -> str:
@@ -675,10 +667,7 @@ def run(
             "(see the JSON dump for the event list)"
         )
     data = {
-        "cells": [
-            dict(cell, spec=spec.to_dict())
-            for spec, cell in zip(specs, cells)
-        ],
+        "cells": [dict(cell, spec=encode(spec)) for spec, cell in zip(specs, cells)],
         "total_points": total_points,
         "total_replays": total_replays,
         "total_violations": total_violations,

@@ -12,6 +12,8 @@ larger groups mean longer collision scans but more sharing flexibility;
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.bench.config import Scale
 from repro.bench.experiments import ExperimentResult, attach_warnings
 from repro.bench.report import format_ratio_note, format_table
@@ -27,9 +29,10 @@ def run(scale: Scale, seed: int = 42, engine=None) -> ExperimentResult:
     engine = engine or default_engine()
     # one mixed batch: a workload run and a utilization run per size
     run_specs = [
-        RunSpec.from_scale(
-            "group", "randomnum", 0.5, scale, seed=seed
-        ).replace(group_size=group_size)
+        replace(
+            RunSpec.from_scale("group", "randomnum", 0.5, scale, seed=seed),
+            group_size=group_size,
+        )
         for group_size in scale.group_sizes
     ]
     util_specs = [

@@ -21,6 +21,9 @@ the grid deduplicates, caches, and is byte-identical across ``--jobs``.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+from repro.bench.cache import encode
 from repro.bench.config import Scale
 from repro.bench.experiments import ExperimentResult, attach_warnings
 from repro.bench.report import format_percentile_table, format_ratio_note
@@ -31,7 +34,7 @@ def growth_specs(scale: Scale, seed: int) -> list[GrowthSpec]:
     """The cell grid: the scale's default geometry plus a half-size
     segment variant (smaller segments = more, cheaper splits)."""
     base = GrowthSpec.from_scale(scale, seed=seed)
-    return [base, base.replace(segment_cells=max(16, base.segment_cells // 2))]
+    return [base, replace(base, segment_cells=max(16, base.segment_cells // 2))]
 
 
 def run(scale: Scale, seed: int = 42, engine=None) -> ExperimentResult:
@@ -74,7 +77,7 @@ def run(scale: Scale, seed: int = 42, engine=None) -> ExperimentResult:
             )
         )
         all_ok = all_ok and cell["split_p99_below_rebuild_pause"]
-        data["cells"].append(dict(cell, spec=spec.to_dict()))
+        data["cells"].append(dict(cell, spec=encode(spec)))
     data["ok"] = all_ok
 
     result = ExperimentResult(

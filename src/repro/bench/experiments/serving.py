@@ -31,11 +31,11 @@ gate.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
+from repro.bench.cache import encode
 from repro.bench.config import Scale, make_trace
 from repro.bench.engine import default_engine, register_spec_kind
 from repro.bench.experiments import ExperimentResult, attach_warnings
@@ -112,19 +112,6 @@ class ServingSpec:
             cache_ratio=scale.cache_ratio,
             **kw,
         )
-
-    def replace(self, **changes) -> "ServingSpec":
-        """A copy with ``changes`` applied (frozen-dataclass update)."""
-        return dataclasses.replace(self, **changes)
-
-    def to_dict(self) -> dict:
-        """JSON-ready field dict (inverse of :meth:`from_dict`)."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ServingSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
-        return cls(**data)
 
     @property
     def label(self) -> str:
@@ -210,7 +197,7 @@ def run_serving_spec(spec: ServingSpec) -> dict:
             math.ceil(len(windows) / MAX_TIMELINE_WINDOWS)
         )
     return {
-        "spec": spec.to_dict(),
+        "spec": encode(spec),
         "clients": spec.n_clients,
         "ops": result.ops,
         "committed": len(result.committed),

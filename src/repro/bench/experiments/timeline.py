@@ -30,8 +30,9 @@ it next to the JSON dump like the ``profile`` experiment does.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
+from repro.bench.cache import encode
 from repro.bench.config import Scale, build_table, make_trace
 from repro.bench.engine import default_engine, register_spec_kind
 from repro.bench.experiments import ExperimentResult, attach_warnings
@@ -152,15 +153,6 @@ class TimelineSpec:
     tech: str = "paper-nvm"
     cache_ratio: float = 8.0
 
-    def to_dict(self) -> dict:
-        """JSON-ready field dict (inverse of :meth:`from_dict`)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TimelineSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
-        return cls(**data)
-
     @property
     def label(self) -> str:
         """Report section label, e.g. ``growth seg=32``, ``16 clients``."""
@@ -272,7 +264,7 @@ def _run_growth_timeline(spec: TimelineSpec) -> dict:
     steady = steady_p99[len(steady_p99) // 2] if steady_p99 else 0.0
     spike = max(split_p99, default=0.0)
     return {
-        "spec": spec.to_dict(),
+        "spec": encode(spec),
         "kind": "growth",
         "clients": 1,
         "series": coarse.as_dict(),
@@ -359,7 +351,7 @@ def _run_contention_timeline(spec: TimelineSpec) -> dict:
     client_ops = [rec.summary()["count"] for rec in result.per_client]
     mean_ops = sum(client_ops) / max(1, len(client_ops))
     return {
-        "spec": spec.to_dict(),
+        "spec": encode(spec),
         "kind": "contention",
         "clients": spec.n_clients,
         "series": coarse.as_dict(),

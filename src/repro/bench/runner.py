@@ -18,7 +18,6 @@ Algorithm 4 on the simulator clock.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -87,19 +86,6 @@ class RunSpec:
             **kw,
         )
 
-    def replace(self, **changes) -> "RunSpec":
-        """A copy with ``changes`` applied (frozen-dataclass update)."""
-        return dataclasses.replace(self, **changes)
-
-    def to_dict(self) -> dict:
-        """JSON-ready field dict (inverse of :meth:`from_dict`)."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class UtilizationSpec:
@@ -114,15 +100,6 @@ class UtilizationSpec:
     group_size: int = 256
     seed: int = 42
 
-    def to_dict(self) -> dict:
-        """JSON-ready field dict (inverse of :meth:`from_dict`)."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "UtilizationSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class RecoverySpec:
@@ -135,15 +112,6 @@ class RecoverySpec:
     load_factor: float = 0.5
     trace: str = "randomnum"
     seed: int = 42
-
-    def to_dict(self) -> dict:
-        """JSON-ready field dict (inverse of :meth:`from_dict`)."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RecoverySpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -161,15 +129,6 @@ class NegativeQuerySpec:
     measure_ops: int = 500
     cache_ratio: float = 8.0
     seed: int = 42
-
-    def to_dict(self) -> dict:
-        """JSON-ready field dict (inverse of :meth:`from_dict`)."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NegativeQuerySpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -230,22 +189,6 @@ class MixedSpec:
                 f"{sorted(PRESETS)} or pass an explicit mix"
             ) from None
 
-    def replace(self, **changes) -> "MixedSpec":
-        """A copy with ``changes`` applied (frozen-dataclass update)."""
-        return dataclasses.replace(self, **changes)
-
-    def to_dict(self) -> dict:
-        """JSON-ready field dict (inverse of :meth:`from_dict`)."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MixedSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
-        data = dict(data)
-        if data.get("mix") is not None:
-            data["mix"] = OpMix.from_dict(data["mix"])
-        return cls(**data)
-
 
 @dataclass
 class OpMetrics:
@@ -288,15 +231,6 @@ class OpMetrics:
         """Attempted-but-unexecuted operations (0 when fully measured
         or when ``attempted`` was not recorded)."""
         return max(0, self.attempted - self.ops)
-
-    def to_dict(self) -> dict:
-        """JSON-ready field dict (inverse of :meth:`from_dict`)."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "OpMetrics":
-        """Rebuild metrics from :meth:`to_dict` output."""
-        return cls(**data)
 
     @property
     def avg_latency_ns(self) -> float:
@@ -347,38 +281,6 @@ class RunResult:
             if self.phase(name).shortfall:
                 out[name] = self.phase(name).shortfall
         return out
-
-    def to_dict(self) -> dict:
-        """JSON-ready nested dict (inverse of :meth:`from_dict`)."""
-        return {
-            "spec": self.spec.to_dict(),
-            "insert": self.insert.to_dict(),
-            "query": self.query.to_dict(),
-            "delete": self.delete.to_dict(),
-            "fill_count": self.fill_count,
-            "capacity": self.capacity,
-            "fill_failures": self.fill_failures,
-            "extras": dict(self.extras),
-            "metrics": self.metrics,
-            "spans": self.spans,
-            "trace_events": self.trace_events,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunResult":
-        return cls(
-            spec=RunSpec.from_dict(data["spec"]),
-            insert=OpMetrics.from_dict(data["insert"]),
-            query=OpMetrics.from_dict(data["query"]),
-            delete=OpMetrics.from_dict(data["delete"]),
-            fill_count=data["fill_count"],
-            capacity=data["capacity"],
-            fill_failures=data["fill_failures"],
-            extras=dict(data.get("extras", {})),
-            metrics=data.get("metrics"),
-            spans=data.get("spans"),
-            trace_events=data.get("trace_events"),
-        )
 
 
 def fill_to_load_factor(
@@ -558,40 +460,6 @@ class MixedResult:
     #: Chrome ``trace_event`` records (``None`` unless ``with_trace``)
     trace_events: list | None = None
 
-    def to_dict(self) -> dict:
-        """JSON-ready nested dict (inverse of :meth:`from_dict`)."""
-        return {
-            "spec": self.spec.to_dict(),
-            "phase": self.phase.to_dict(),
-            "total": dict(self.total),
-            "per_kind": {k: dict(v) for k, v in self.per_kind.items()},
-            "histogram": dict(self.histogram),
-            "fill_count": self.fill_count,
-            "capacity": self.capacity,
-            "fill_failures": self.fill_failures,
-            "failed_ops": self.failed_ops,
-            "extras": dict(self.extras),
-            "spans": self.spans,
-            "trace_events": self.trace_events,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MixedResult":
-        return cls(
-            spec=MixedSpec.from_dict(data["spec"]),
-            phase=OpMetrics.from_dict(data["phase"]),
-            total=dict(data["total"]),
-            per_kind={k: dict(v) for k, v in data["per_kind"].items()},
-            histogram=dict(data["histogram"]),
-            fill_count=data["fill_count"],
-            capacity=data["capacity"],
-            fill_failures=data["fill_failures"],
-            failed_ops=data["failed_ops"],
-            extras=dict(data.get("extras", {})),
-            spans=data.get("spans"),
-            trace_events=data.get("trace_events"),
-        )
-
 
 def _metered_ops(
     table, stats, ops, items, stream, oracle, *, label, tracer=None, new_value=None
@@ -736,18 +604,15 @@ def run_mixed_workload(spec: MixedSpec) -> MixedResult:
     return result
 
 
-def measure_space_utilization(
-    scheme: str,
-    trace_name: str,
-    *,
-    total_cells: int,
-    group_size: int = 256,
-    seed: int = 42,
-) -> float:
+def measure_space_utilization(spec: UtilizationSpec) -> float:
     """Figure 7: the load factor at which an insert first fails."""
-    trace = make_trace(trace_name, seed=seed)
+    trace = make_trace(spec.trace, seed=spec.seed)
     built = build_table(
-        scheme, total_cells, trace.spec, group_size=group_size, seed=seed
+        spec.scheme,
+        spec.total_cells,
+        trace.spec,
+        group_size=spec.group_size,
+        seed=spec.seed,
     )
     table = built.table
     for key, value in trace.unique_items():
@@ -756,27 +621,24 @@ def measure_space_utilization(
     raise RuntimeError("trace exhausted before the table filled")
 
 
-def measure_recovery(
-    *,
-    total_cells: int,
-    group_size: int = 256,
-    load_factor: float = 0.5,
-    trace_name: str = "randomnum",
-    seed: int = 42,
-) -> dict[str, float]:
+def measure_recovery(spec: RecoverySpec) -> dict[str, float]:
     """Table 3: fill to ``load_factor``, crash, time Algorithm 4.
 
     Returns simulated milliseconds for execution (fill) and recovery,
     plus the table's data footprint in bytes, mirroring the paper's
     columns."""
-    trace = make_trace(trace_name, seed=seed)
+    trace = make_trace(spec.trace, seed=spec.seed)
     built = build_table(
-        "group", total_cells, trace.spec, group_size=group_size, seed=seed
+        "group",
+        spec.total_cells,
+        trace.spec,
+        group_size=spec.group_size,
+        seed=spec.seed,
     )
     table, region = built.table, built.region
 
     before = region.stats.snapshot()
-    fill_to_load_factor(built, trace.unique_items(), load_factor)
+    fill_to_load_factor(built, trace.unique_items(), spec.load_factor)
     execution_ns = region.stats.delta(before).sim_time_ns
 
     region.crash()
@@ -823,28 +685,6 @@ def measure_negative_queries(spec: NegativeQuerySpec) -> dict[str, float]:
     }
 
 
-def run_utilization_spec(spec: UtilizationSpec) -> float:
-    """Execute one :class:`UtilizationSpec`."""
-    return measure_space_utilization(
-        spec.scheme,
-        spec.trace,
-        total_cells=spec.total_cells,
-        group_size=spec.group_size,
-        seed=spec.seed,
-    )
-
-
-def run_recovery_spec(spec: RecoverySpec) -> dict[str, float]:
-    """Execute one :class:`RecoverySpec`."""
-    return measure_recovery(
-        total_cells=spec.total_cells,
-        group_size=spec.group_size,
-        load_factor=spec.load_factor,
-        trace_name=spec.trace,
-        seed=spec.seed,
-    )
-
-
 @dataclass(frozen=True)
 class GrowthSpec:
     """One incremental-growth cell (the ``growth`` experiment).
@@ -887,19 +727,6 @@ class GrowthSpec:
         kw.setdefault("n_ops", scale.measure_ops)
         kw.setdefault("cache_ratio", scale.cache_ratio)
         return cls(**kw)
-
-    def replace(self, **changes) -> "GrowthSpec":
-        """A copy with ``changes`` applied (frozen-dataclass update)."""
-        return dataclasses.replace(self, **changes)
-
-    def to_dict(self) -> dict:
-        """JSON-ready field dict (inverse of :meth:`from_dict`)."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GrowthSpec":
-        """Rebuild a spec from :meth:`to_dict` output."""
-        return cls(**data)
 
 
 def _growth_region(item_spec, spec: GrowthSpec, *, track_wear: bool = False):

@@ -23,7 +23,6 @@ counts and ``PYTHONHASHSEED`` values.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from dataclasses import dataclass
 
@@ -74,15 +73,6 @@ class OpMix:
     def ratios(self) -> tuple[float, float, float, float]:
         """(insert, query, update, delete) in :data:`OP_KINDS` order."""
         return (self.insert, self.query, self.update, self.delete)
-
-    def to_dict(self) -> dict:
-        """JSON-ready field dict (inverse of :meth:`from_dict`)."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "OpMix":
-        """Rebuild a mix from :meth:`to_dict` output."""
-        return cls(**data)
 
 
 #: YCSB core-workload presets, expressed as ratios over *physical* table

@@ -491,9 +491,6 @@ class DirectoryTable:
     # ------------------------------------------------------------------
     # aggregated state
 
-    def _distinct_segments(self) -> list[GroupHashTable]:
-        return list(self._segments.values())
-
     @property
     def global_depth(self) -> int:
         """log2 of the directory slot count."""

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.bench import (
+    RecoverySpec,
     RunSpec,
+    UtilizationSpec,
     measure_recovery,
     measure_space_utilization,
     run_workload,
@@ -95,18 +97,18 @@ def test_from_scale_constructor():
 
 def test_space_utilization_group_below_one():
     util = measure_space_utilization(
-        "group", "randomnum", total_cells=1 << 10, group_size=32
+        UtilizationSpec("group", total_cells=1 << 10, group_size=32)
     )
     assert 0.3 < util < 1.0
 
 
 def test_space_utilization_path_high():
-    util = measure_space_utilization("path", "randomnum", total_cells=1 << 10)
+    util = measure_space_utilization(UtilizationSpec("path", total_cells=1 << 10))
     assert util > 0.8
 
 
 def test_measure_recovery_fields():
-    result = measure_recovery(total_cells=1 << 10, group_size=32)
+    result = measure_recovery(RecoverySpec(total_cells=1 << 10, group_size=32))
     assert result["recovery_ms"] > 0
     assert result["execution_ms"] > result["recovery_ms"]
     assert 0 < result["percentage"] < 100

@@ -13,10 +13,13 @@ crash-matrix multi-client cell (boundaries land between two clients'
 in-flight ops and recovery stays clean).
 """
 
+import dataclasses
+import json
+
 import pytest
 
 from repro import GroupHashTable, ItemSpec
-from repro.bench.cache import ResultCache
+from repro.bench.cache import ResultCache, decode, encode
 from repro.bench.config import build_table
 from repro.bench.engine import Engine
 from repro.bench.experiments.contention import (
@@ -304,8 +307,9 @@ TINY_SPEC = ConcurrentSpec(
 
 
 def test_concurrent_spec_round_trip():
-    assert ConcurrentSpec.from_dict(TINY_SPEC.to_dict()) == TINY_SPEC
-    assert TINY_SPEC.replace(n_clients=1).label == "1 client"
+    wire = json.loads(json.dumps(encode(TINY_SPEC)))
+    assert decode(ConcurrentSpec, wire) == TINY_SPEC
+    assert dataclasses.replace(TINY_SPEC, n_clients=1).label == "1 client"
     assert TINY_SPEC.label == "4 clients"
 
 
@@ -318,7 +322,7 @@ def test_executor_repeatable():
 
 
 def test_engine_byte_identity_across_jobs(tmp_path):
-    specs = [TINY_SPEC, TINY_SPEC.replace(n_clients=1)]
+    specs = [TINY_SPEC, dataclasses.replace(TINY_SPEC, n_clients=1)]
     serial = Engine(jobs=1, cache=False).run(specs)
     parallel = Engine(
         jobs=2, cache=ResultCache(tmp_path / "cache")

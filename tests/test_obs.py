@@ -17,13 +17,14 @@ survive the engine's result cache.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from tests.conftest import make_table, random_items, small_region
 
-from repro.bench.cache import ResultCache
+from repro.bench.cache import ResultCache, decode, encode
 from repro.bench.engine import Engine
 from repro.bench.runner import RunSpec, run_workload
 from repro.core.sharded import ShardedTable
@@ -408,9 +409,11 @@ def test_enabled_observability_is_simulation_invariant(scheme):
         seed=13,
     )
     bare = run_workload(spec)
-    observed = run_workload(spec.replace(with_trace=True, with_metrics=True))
+    observed = run_workload(
+        dataclasses.replace(spec, with_trace=True, with_metrics=True)
+    )
     for phase in ("insert", "query", "delete"):
-        assert bare.phase(phase).to_dict() == observed.phase(phase).to_dict()
+        assert bare.phase(phase) == observed.phase(phase)
     assert bare.fill_count == observed.fill_count
     assert observed.metrics is not None and observed.spans is not None
 
@@ -467,9 +470,9 @@ def test_runresult_observability_serde_roundtrip():
     from repro.bench.runner import RunResult
 
     result = run_workload(_traced_spec())
-    payload = result.to_dict()
+    payload = encode(result)
     json.dumps(payload)
-    rebuilt = RunResult.from_dict(payload)
+    rebuilt = decode(RunResult, payload)
     assert rebuilt.metrics == result.metrics
     assert rebuilt.spans == result.spans
     assert rebuilt.trace_events == result.trace_events
@@ -484,7 +487,7 @@ def test_engine_cache_roundtrips_observability(tmp_path):
     warm_engine = Engine(jobs=1, cache=ResultCache(tmp_path))
     (warm,) = warm_engine.run([spec])
     assert warm_engine.cache.hits == 1 and warm_engine.executed == 0
-    assert warm.to_dict() == cold.to_dict()
+    assert warm == cold
     assert warm.metrics is not None and warm.trace_events
 
 

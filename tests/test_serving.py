@@ -13,10 +13,11 @@ executor repeatability, byte-identity across worker counts).
 """
 
 import dataclasses
+import json
 
 import pytest
 
-from repro.bench.cache import ResultCache
+from repro.bench.cache import ResultCache, decode, encode
 from repro.bench.engine import Engine
 from repro.bench.experiments.serving import ServingSpec, run_serving_spec
 from repro.concurrency import ClientOp, table_digest
@@ -364,9 +365,11 @@ TINY_SERVE = ServingSpec(
 
 
 def test_serving_spec_round_trip():
-    assert ServingSpec.from_dict(TINY_SERVE.to_dict()) == TINY_SERVE
+    wire = json.loads(json.dumps(encode(TINY_SERVE)))
+    assert decode(ServingSpec, wire) == TINY_SERVE
     assert TINY_SERVE.label == "4c b8 +loc"
-    assert TINY_SERVE.replace(location_cache=False, batch_max=1).label == "4c b1"
+    single = dataclasses.replace(TINY_SERVE, location_cache=False, batch_max=1)
+    assert single.label == "4c b1"
 
 
 def test_executor_repeatable():
@@ -379,7 +382,7 @@ def test_executor_repeatable():
 
 
 def test_engine_byte_identity_across_jobs(tmp_path):
-    specs = [TINY_SERVE, TINY_SERVE.replace(location_cache=False)]
+    specs = [TINY_SERVE, dataclasses.replace(TINY_SERVE, location_cache=False)]
     serial = Engine(jobs=1, cache=False).run(specs)
     parallel = Engine(jobs=2, cache=ResultCache(tmp_path / "cache")).run(specs)
     assert serial == parallel
