@@ -67,12 +67,14 @@ class CacheSim:
     access funnels through here.
     """
 
-    __slots__ = ("config", "_n_sets", "_assoc", "_sets")
+    __slots__ = ("config", "_n_sets", "_assoc", "_long_run", "_sets")
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
         self._n_sets = config.n_sets
         self._assoc = config.associativity
+        #: runs at least this long enter a set at a time (see enter_run)
+        self._long_run = 2 * self._n_sets * self._assoc
         self._sets: list[dict[int, bool]] = [{} for _ in range(self._n_sets)]
 
     def access(
@@ -101,18 +103,71 @@ class CacheSim:
         """Read-touch lines ``first .. end - 1`` in order; return
         ``(fills, head_filled, evictions, dirty_victims)``.
 
-        Equivalent to ``access(line, is_write=False)`` per line: the same
-        LRU order, dirty flags and victims, with the per-line results
-        summed — the fills, whether ``first`` itself was a fill, the
-        evictions, and the dirty victims in eviction order (the caller
-        writes them back)."""
+        The contract is a loop of ``access(line, is_write=False)`` over
+        the run: every set ends in the same LRU order with the same dirty
+        flags, and the loop's per-line results come back summed — the
+        fills, whether ``first`` itself was a fill, the evictions, and
+        the dirty victims in eviction order (the caller writes them
+        back).
+
+        A run shorter than twice the cache's line capacity goes through
+        that loop. A longer one goes a set at a time, which costs
+        O(sets × ways) instead of O(lines): set ``s`` receives the run's
+        lines ``first + (s - first) % n_sets`` onwards, ``n_sets`` apart,
+        and at least ``2 * assoc`` of them. If none of its resident
+        lines lies inside the run, each of the set's run lines is a
+        fill, they evict the ``b`` resident lines in LRU order (resident
+        line ``j`` by the set's run line ``assoc - b + j``) and then each
+        other, and the set ends holding its last ``assoc`` run lines,
+        clean. A set with a resident line inside the run takes the
+        loop's step on its own lines. Dirty victims are sorted by the
+        line that evicted them, which is the loop's order, since each
+        line evicts at most one victim."""
         sets = self._sets
         n_sets = self._n_sets
         assoc = self._assoc
         head_filled = first < end and first not in sets[first % n_sets]
+        dirty: list[tuple[int, int]] = []
+        if end - first < self._long_run:
+            fills, evictions = self._enter_lines(range(first, end), dirty)
+            if dirty:
+                dirty = [victim for _, victim in dirty]
+            return fills, head_filled, evictions, dirty
         fills = evictions = 0
-        dirty: list[int] = []
-        for line in range(first, end):
+        for start in range(first, first + n_sets):
+            index = start % n_sets
+            bucket = sets[index]
+            lines = range(start, end, n_sets)
+            if bucket:
+                # a resident line is in the run exactly when it is in lines
+                if any(map(lines.__contains__, bucket)):
+                    set_fills, set_evictions = self._enter_lines(lines, dirty)
+                    fills += set_fills
+                    evictions += set_evictions
+                    continue
+                if True in bucket.values():
+                    evictor = start + (assoc - len(bucket)) * n_sets
+                    for victim, was_dirty in bucket.items():
+                        if was_dirty:
+                            dirty.append((evictor, victim))
+                        evictor += n_sets
+            fills += len(lines)
+            evictions += len(lines) + len(bucket) - assoc
+            sets[index] = dict.fromkeys(lines[-assoc:], False)
+        dirty.sort()
+        return fills, head_filled, evictions, [victim for _, victim in dirty]
+
+    def _enter_lines(
+        self, lines: range, dirty: list[tuple[int, int]]
+    ) -> tuple[int, int]:
+        """The step of ``access(line, is_write=False)`` for each of
+        ``lines`` in order; returns ``(fills, evictions)`` and appends
+        ``(evicting_line, victim)`` to ``dirty`` per dirty victim."""
+        sets = self._sets
+        n_sets = self._n_sets
+        assoc = self._assoc
+        fills = evictions = 0
+        for line in lines:
             bucket = sets[line % n_sets]
             flag = bucket.pop(line, None)
             if flag is not None:
@@ -123,9 +178,9 @@ class CacheSim:
                 victim = next(iter(bucket))
                 evictions += 1
                 if bucket.pop(victim):
-                    dirty.append(victim)
+                    dirty.append((line, victim))
             bucket[line] = False
-        return fills, head_filled, evictions, dirty
+        return fills, evictions
 
     def touch_mru(self, line: int, is_write: bool) -> None:
         """Repeat-touch a line the caller *knows* is resident and MRU.

@@ -562,8 +562,9 @@ class NVMRegion(Scans, Observable):
 
         Such a window touches every line from its first to its last, in
         non-decreasing order, so each line is entered once:
-        :meth:`CacheSim.enter_run` runs them all, and every fill after
-        the head line follows the line before it (prefetch-covered). The
+        :meth:`CacheSim.enter_run` runs them all (in O(sets × ways) once
+        the run is at least twice the cache's capacity), and every fill
+        after the head line follows the line before it (prefetch-covered). The
         remaining touches, repeats of the line entered last, are hits
         whose number is arithmetic: one touch per cell plus one per line
         boundary a cell crosses. The clock gets each cost times its count;

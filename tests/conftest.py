@@ -41,11 +41,14 @@ SMALL_CACHE = CacheConfig(size_bytes=16 * 1024, line_size=64, associativity=4)
 
 
 def count_cache_calls(monkeypatch) -> dict[str, int]:
-    """From now until ``monkeypatch.undo()``, count the lines run through
-    the LRU step into the returned dict: ``access`` counts each
-    ``CacheSim.access`` call plus each line entered by
-    ``CacheSim.enter_run`` (whose calls ``runs`` counts), ``touch_mru``
-    the ``CacheSim.touch_mru`` calls."""
+    """From now until ``monkeypatch.undo()``, count cache calls into the
+    returned dict: ``access`` counts each ``CacheSim.access`` call plus
+    each line a ``CacheSim.enter_run`` call enters (whose calls ``runs``
+    counts), ``touch_mru`` the ``CacheSim.touch_mru`` calls. The contract
+    of ``enter_run`` is a loop of ``access`` over its lines, so these are
+    the ``access`` calls that contract stands for, not the LRU steps
+    executed: a run of at least twice the cache's capacity goes a set at
+    a time."""
     calls = {"access": 0, "touch_mru": 0, "runs": 0}
     access, touch_mru, enter_run = (
         CacheSim.access,

@@ -181,7 +181,9 @@ def make_kv():
 
 
 def test_kv_put_many_matches_scalar():
-    pairs = [(f"user:{i}".encode(), bytes([i % 251]) * (i % 40 + 1)) for i in range(200)]
+    pairs = [
+        (f"user:{i}".encode(), bytes([i % 251]) * (i % 40 + 1)) for i in range(200)
+    ]
     r1, scalar = make_kv()
     r2, batch = make_kv()
     f0, n0 = r1.stats.flushes, r1.stats.fences

@@ -152,36 +152,99 @@ def test_matches_reference_lru_model(ops):
         assert resident == sorted(model[s])
 
 
-@settings(deadline=None)
-@given(
-    assoc=st.sampled_from([1, 2, 4]),
-    n_sets=st.sampled_from([1, 2, 8]),
-    warm=st.lists(st.tuples(st.integers(0, 47), st.booleans()), max_size=60),
-    first=st.integers(0, 40),
-    length=st.integers(0, 24),
-)
-def test_enter_run_matches_access_loop(assoc, n_sets, warm, first, length):
-    """``enter_run(first, end)`` leaves every set's LRU order and dirty
-    flags as a loop of ``access(line, is_write=False)`` does, and sums
-    its results: the fills, whether ``first`` filled, the evictions and
-    the dirty victims in eviction order. The warm-up leaves dirty lines
-    and partly full sets; 1-set and 1-way caches evict the run's own
-    lines."""
+def _run_and_loop(assoc, n_sets, warm, first, end):
+    """Two caches warmed alike; ``enter_run(first, end)`` on one and the
+    ``access`` loop on the other. Returns the run's result, the loop's
+    result summed the same way, and both caches."""
     run, loop = tiny_cache(assoc, n_sets), tiny_cache(assoc, n_sets)
     for cache in (run, loop):
         for line, is_write in warm:
             cache.access(line, is_write=is_write)
-    end = first + length
     outcomes = [loop.access(line, is_write=False) for line in range(first, end)]
     victims = [evicted for _, evicted in outcomes if evicted is not None]
-    fills, head_filled, evictions, dirty = run.enter_run(first, end)
-    assert fills == sum(not hit for hit, _ in outcomes)
-    assert head_filled == (bool(outcomes) and not outcomes[0][0])
-    assert evictions == len(victims)
-    assert dirty == [line for line, was_dirty in victims if was_dirty]
+    expected = (
+        sum(not hit for hit, _ in outcomes),
+        bool(outcomes) and not outcomes[0][0],
+        len(victims),
+        [line for line, was_dirty in victims if was_dirty],
+    )
+    return run.enter_run(first, end), expected, run, loop
+
+
+@settings(deadline=None)
+@given(
+    assoc=st.sampled_from([1, 2, 4]),
+    n_sets=st.sampled_from([1, 2, 8]),
+    data=st.data(),
+)
+def test_enter_run_matches_access_loop(assoc, n_sets, data):
+    """``enter_run(first, end)`` leaves every set's LRU order and dirty
+    flags as a loop of ``access(line, is_write=False)`` does, and sums
+    its results: the fills, whether ``first`` filled, the evictions and
+    the dirty victims in eviction order. Runs reach 4x the capacity, so
+    every geometry takes both the loop and the per-set path; the warm-up
+    leaves dirty and clean lines inside and outside the run (``first``
+    included) and partly full sets; 1-set and 1-way caches evict the
+    run's own lines."""
+    capacity = assoc * n_sets
+    first = data.draw(st.integers(0, 2 * capacity), label="first")
+    length = data.draw(
+        st.one_of(
+            st.integers(0, 4 * capacity),
+            st.integers(2 * capacity - 1, 2 * capacity + 1),
+        ),
+        label="length",
+    )
+    end = first + length
+    warm = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(max(0, first - capacity), end + capacity), st.booleans()
+            ),
+            max_size=3 * capacity,
+        ),
+        label="warm",
+    )
+    result, expected, run, loop = _run_and_loop(assoc, n_sets, warm, first, end)
+    assert result == expected
     assert [list(bucket.items()) for bucket in run._sets] == [
         list(bucket.items()) for bucket in loop._sets
     ]
+
+
+def test_enter_run_goes_per_set_from_twice_the_capacity(monkeypatch):
+    """A run one line short of twice the capacity takes the loop's step
+    over all its lines; one at twice the capacity takes it only for the
+    set holding a line inside the run, over that set's lines, and
+    matches the loop all the same, dirty victims in eviction order
+    across sets included."""
+    assoc, n_sets = 2, 4
+    steps = []
+    enter_lines = CacheSim._enter_lines
+
+    def spy(self, lines, dirty):
+        steps.append(lines)
+        return enter_lines(self, lines, dirty)
+
+    monkeypatch.setattr(CacheSim, "_enter_lines", spy)
+    # sets 2 and 3 each evict two dirty lines, interleaved in the loop;
+    # set 1 holds 21, inside the run, and its dirty 9 goes between them
+    warm = [(2, True), (6, True), (3, True), (7, True), (100, True), (9, True)]
+    warm.append((21, False))
+    for length, expected_steps in (
+        (15, [range(10, 25)]),
+        (16, [range(13, 26, 4)]),
+    ):
+        steps.clear()
+        first = 10
+        result, expected, run, loop = _run_and_loop(
+            assoc, n_sets, warm, first, first + length
+        )
+        assert steps == expected_steps
+        assert result == expected
+        assert [list(b.items()) for b in run._sets] == [
+            list(b.items()) for b in loop._sets
+        ]
 
 
 def test_writeback_clean_or_absent_returns_false():
