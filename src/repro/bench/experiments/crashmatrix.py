@@ -257,17 +257,25 @@ def build_concurrent_workload(
     return prefill, ops, concurrent
 
 
-class TableCampaignHarness:
-    """:class:`~repro.nvm.crashpoint.CrashHarness` over one built table."""
+class CampaignHarness:
+    """:class:`~repro.nvm.crashpoint.CrashHarness` over one table.
 
-    def __init__(self, built) -> None:
-        self.built = built
-        self.table = built.table
+    The workload routes through ``table``; the crash domain is the
+    backend of ``crash_table``: the table itself, or shard 0 of a
+    :class:`~repro.core.sharded.ShardedTable`. Only that backend is
+    recorded, armed, crashed and recovered, so a sharded cell checks
+    both that the failed shard recovers and that the oracles hold over
+    the *global* key space (untouched shards keep serving their
+    committed items)."""
+
+    def __init__(self, table) -> None:
+        self.table = table
+        self.crash_table = table.tables[0] if isinstance(table, ShardedTable) else table
 
     @property
     def crash_backend(self) -> MemoryBackend:
-        """The table's whole backend is the crash domain."""
-        return self.built.region
+        """The crash table's backend."""
+        return self.crash_table.region
 
     @property
     def split_count(self) -> int | None:
@@ -288,89 +296,28 @@ class TableCampaignHarness:
         raise ValueError(f"unknown op kind {op.kind!r}")
 
     def crash(self, schedule: CrashSchedule) -> None:
-        """Power-fail the backend under ``schedule``."""
-        self.built.region.crash(schedule)
+        """Power-fail the crash domain under ``schedule``."""
+        self.crash_backend.crash(schedule)
 
     def recover(self) -> None:
-        """Reboot: reattach mirrors, run the scheme's recovery."""
-        recover_table(self.table)
+        """Reboot the crash table: reattach mirrors, run the scheme's
+        recovery (other shards never went down)."""
+        recover_table(self.crash_table)
 
     def snapshot(self) -> dict[bytes, bytes]:
-        """Recovered contents as a plain dict."""
+        """Recovered contents (across all shards) as a plain dict."""
         return dict(self.table.items())
 
     def integrity_violations(self) -> list[str]:
-        """The table's structural self-checks."""
+        """The table's structural self-checks (every shard's)."""
         return self.table.integrity_violations()
-
-
-class ShardedCampaignHarness:
-    """Harness whose crash domain is one shard of a sharded table.
-
-    The workload routes over every shard, but only ``crash_shard``'s
-    backend is recorded, armed, crashed and recovered — the campaign
-    thereby checks both that the failed shard recovers and that the
-    oracles hold over the *global* key space (untouched shards keep
-    serving their committed items)."""
-
-    def __init__(self, table: ShardedTable, crash_shard: int = 0) -> None:
-        self.table = table
-        self.crash_shard = crash_shard
-
-    @property
-    def crash_backend(self) -> MemoryBackend:
-        """The crash shard's own backend."""
-        return self.table.backend.shard(self.crash_shard)
-
-    def apply(self, op: Op | BatchOp) -> bool:
-        """Route one workload op through the shard router."""
-        if op.kind == "put_many":
-            return all(self.table.put_many(list(op.items)))
-        if op.kind == "insert":
-            return self.table.insert(op.key, op.value)
-        if op.kind == "delete":
-            return self.table.delete(op.key)
-        if op.kind == "update":
-            return self.table.update(op.key, op.value)
-        raise ValueError(f"unknown op kind {op.kind!r}")
-
-    def crash(self, schedule: CrashSchedule) -> None:
-        """Power-fail only the crash shard."""
-        self.table.crash(schedule, shard=self.crash_shard)
-
-    def recover(self) -> None:
-        """Reboot only the crash shard (others never went down)."""
-        recover_table(self.table.tables[self.crash_shard])
-
-    def snapshot(self) -> dict[bytes, bytes]:
-        """Global contents across all shards."""
-        return dict(self.table.items())
-
-    def integrity_violations(self) -> list[str]:
-        """Structural checks on every shard (the global invariant)."""
-        problems: list[str] = []
-        for i, shard_table in enumerate(self.table.tables):
-            problems.extend(
-                f"shard {i}: {p}" for p in shard_table.integrity_violations()
-            )
-        return problems
-
-
-@dataclass
-class _GrownBuilt:
-    """Minimal ``build_table``-shaped carrier for the grow cell's
-    directory table (what :class:`TableCampaignHarness` consumes)."""
-
-    table: DirectoryTable
-    region: MemoryBackend
 
 
 def make_harness(
     spec: CrashMatrixSpec, prefill: dict[bytes, bytes]
-) -> TableCampaignHarness | ShardedCampaignHarness:
+) -> CampaignHarness:
     """Build one fresh, pre-filled harness for ``spec`` (the replay
     factory — every crash point reconstructs state through here)."""
-    harness: TableCampaignHarness | ShardedCampaignHarness
     if spec.grow:
         if spec.scheme != "group" or spec.backend != "raw" or spec.n_shards:
             raise ValueError(
@@ -391,7 +338,6 @@ def make_harness(
             segment_cells=spec.segment_cells,
             seed=spec.seed,
         )
-        harness = TableCampaignHarness(_GrownBuilt(table, backend))
     elif spec.n_shards:
         if spec.scheme != "group" or spec.backend != "raw":
             raise ValueError(
@@ -404,9 +350,8 @@ def make_harness(
             n_shards=spec.n_shards,
             seed=spec.seed,
         )
-        harness = ShardedCampaignHarness(table)
     else:
-        built = build_table(
+        table = build_table(
             spec.scheme,
             spec.total_cells,
             ItemSpec(),
@@ -414,8 +359,8 @@ def make_harness(
             seed=spec.seed,
             cache_ratio=4.0,
             backend=spec.backend,
-        )
-        harness = TableCampaignHarness(built)
+        ).table
+    harness = CampaignHarness(table)
     for key, value in prefill.items():
         if not harness.apply(Op("insert", key, value)):
             raise RuntimeError(

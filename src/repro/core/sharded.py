@@ -299,6 +299,15 @@ class ShardedTable:
         (the global consistency invariant)."""
         return all(t.check_count() for t in self.tables)
 
+    def integrity_violations(self) -> list[str]:
+        """Every shard's structural self-checks, each prefixed with its
+        shard (``"shard i: ..."``); empty when all shards are sound."""
+        return [
+            f"shard {i}: {problem}"
+            for i, table in enumerate(self.tables)
+            for problem in table.integrity_violations()
+        ]
+
     def shard_counts(self) -> list[int]:
         """Per-shard item counts (balance diagnostic)."""
         return [t.count for t in self.tables]

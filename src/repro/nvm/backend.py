@@ -9,12 +9,13 @@ than against the concrete simulator class. Three implementations ship:
   (:class:`~repro.nvm.memory.NVMRegion` itself, re-exported unchanged).
   Every figure benchmark runs on it; simulated-ns latencies and miss
   counts are bit-for-bit those of the pre-protocol code.
-- :class:`RawBackend` — a plain dual-image bytearray store with **no
-  cache simulation and no latency model**. Same data semantics (volatile
-  view vs persistent image, 8-byte-word crash granularity, dirty-line
-  tracking at flush granularity), but each access is a couple of slice
-  operations, which makes correctness suites and production-style KV
-  workloads several times faster. Latency/miss counters stay zero.
+- :class:`RawBackend` — the simulator's own dual-image core
+  (:class:`~repro.nvm.memory.DualImage`: volatile view vs persistent
+  image, allocator, crash countdown, 8-byte-word crash) with **no cache
+  simulation and no latency model**: dirty lines are a set and each
+  access is a couple of slice operations, which makes correctness
+  suites and production-style KV workloads several times faster.
+  Latency/miss counters stay zero.
 - :class:`ShardedBackend` — a container of N independent per-shard
   backends with aggregated statistics and per-shard crash injection.
   It is deliberately *not* one flat address space: shard independence
@@ -33,22 +34,19 @@ from __future__ import annotations
 
 from typing import Callable, Protocol, runtime_checkable
 
-from repro.nvm.crash import CrashSchedule, drop_all_schedule
-from repro.nvm.decode import _U64, Scans, _scan_torn_loop
+from repro.nvm.crash import CrashSchedule
+from repro.nvm.decode import _U64, _scan_torn_loop
 from repro.nvm.memory import (
     ATOMIC_UNIT,
     CACHELINE,
-    Allocation,
     CrashReport,
+    DualImage,
     NVMRegion,
-    SimulatedPowerFailure,
     _MIN_BATCH,
     _flush_batch,
     _store_batch,
     _store_cells_loop,
-    image_diff,
 )
-from repro.nvm.observe import Observable
 from repro.nvm.stats import MemStats
 
 
@@ -346,7 +344,7 @@ class MemoryBackend(Protocol):
 SimBackend = NVMRegion
 
 
-class RawBackend(Scans, Observable):
+class RawBackend(DualImage):
     """Simulation-free :class:`MemoryBackend`: the fast path.
 
     Keeps the same two images as the simulator — volatile view and
@@ -354,7 +352,8 @@ class RawBackend(Scans, Observable):
     in a set, but runs no cache model and charges no latency. Program-
     order event semantics are identical to :class:`SimBackend`: the same
     operation sequence leaves the same dirty words at any crash point,
-    which is what makes backend parity testable.
+    which is what makes backend parity testable. The crash itself is the
+    shared :class:`~repro.nvm.memory.DualImage`'s.
 
     Intended for correctness suites (crash semantics intact, ~an order
     of magnitude faster) and throughput-oriented KV serving where
@@ -364,111 +363,13 @@ class RawBackend(Scans, Observable):
     def __init__(
         self, size: int, *, name: str = "raw", line_size: int = CACHELINE
     ) -> None:
-        if size <= 0:
-            raise ValueError("region size must be positive")
+        super().__init__(size, line_size, name)
         if line_size <= 0 or line_size % ATOMIC_UNIT:
             raise ValueError("line_size must be a positive multiple of 8")
-        self.name = name
-        self.size = size
-        self.line_size = line_size
-        self._line = line_size
-        self._persistent = bytearray(size)
-        self._volatile = bytearray(size)
         #: line numbers holding stores not yet written back
         self._dirty: set[int] = set()
-        self.stats = MemStats()
-        self._alloc_cursor = 0
-        self.allocations: list[Allocation] = []
-        #: bytes allocated but no longer reachable (see
-        #: :meth:`mark_abandoned`); volatile bookkeeping
-        self.abandoned_bytes = 0
-        self._crash_countdown: int | None = None
-        self._observers = ()
-        self._notify: Callable[[str, int, int], None] | None = None
-        # Hot-path gate: True only while an armed crash or an observer
-        # needs per-event bookkeeping. Keeping this a single attribute
-        # lets read/write/persist skip two attribute tests per event.
-        self._slow = False
         # scans decode in place on this class only (see Scans)
         self._in_place = self.__class__ is RawBackend
-
-    def _set_observers(self, observers) -> None:
-        super()._set_observers(observers)
-        self._slow = self._notify is not None or self._crash_countdown is not None
-
-    def _pre_event(self, kind: str, addr: int, size: int) -> None:
-        """Armed-crash tick + observer call, in the simulator's order."""
-        if self._crash_countdown is not None:
-            self._crash_tick()
-        notify = self._notify
-        if notify is not None:
-            notify(kind, addr, size)
-
-    # ------------------------------------------------------------------
-    # allocation
-
-    def alloc(self, nbytes: int, *, align: int = ATOMIC_UNIT, label: str = "") -> int:
-        """Bump-allocate ``nbytes`` (same policy as the simulator)."""
-        if nbytes < 0:
-            raise ValueError("allocation size must be non-negative")
-        if align <= 0 or align & (align - 1):
-            raise ValueError(f"alignment must be a power of two, got {align}")
-        addr = (self._alloc_cursor + align - 1) & ~(align - 1)
-        if addr + nbytes > self.size:
-            raise MemoryError(
-                f"region '{self.name}' exhausted: need {nbytes} bytes at "
-                f"{addr}, size {self.size}"
-            )
-        self._alloc_cursor = addr + nbytes
-        self.allocations.append(
-            Allocation(label or f"alloc{len(self.allocations)}", addr, nbytes)
-        )
-        return addr
-
-    @property
-    def bytes_allocated(self) -> int:
-        """High-water mark of the bump allocator."""
-        return self._alloc_cursor
-
-    def mark_abandoned(self, nbytes: int) -> None:
-        """Record ``nbytes`` of allocated space as permanently
-        unreachable (same accounting as the simulator)."""
-        if nbytes < 0:
-            raise ValueError("abandoned byte count must be non-negative")
-        self.abandoned_bytes += nbytes
-
-    # ------------------------------------------------------------------
-    # crash arming (same countdown semantics as the simulator)
-
-    def arm_crash(self, after_events: int) -> None:
-        """Arm a power failure ``after_events`` store/flush/fence events
-        from now (identical countdown semantics to the simulator)."""
-        if after_events <= 0:
-            raise ValueError("after_events must be positive")
-        self._crash_countdown = after_events
-        self._slow = True
-
-    def disarm_crash(self) -> None:
-        """Cancel a pending armed crash."""
-        self._crash_countdown = None
-        self._slow = self._notify is not None
-
-    def _crash_tick(self) -> None:
-        countdown = self._crash_countdown
-        if countdown is None:
-            return
-        countdown -= 1
-        if countdown <= 0:
-            self._crash_countdown = None
-            self._slow = self._notify is not None
-            raise SimulatedPowerFailure("armed crash point reached")
-        self._crash_countdown = countdown
-
-    def _check_range(self, addr: int, size: int) -> None:
-        if addr < 0 or size < 0 or addr + size > self.size:
-            raise IndexError(
-                f"access [{addr}, {addr + size}) outside region of size {self.size}"
-            )
 
     # ------------------------------------------------------------------
     # data path
@@ -527,14 +428,6 @@ class RawBackend(Scans, Observable):
         stats.writes += 1
         stats.bytes_written += 8
         _U64.pack_into(self._volatile, addr, value)
-
-    def write_atomic_u64(self, addr: int, value: int) -> None:
-        """Failure-atomic 8-byte store; asserts natural alignment."""
-        if addr % ATOMIC_UNIT:
-            raise ValueError(
-                f"atomic write requires {ATOMIC_UNIT}-byte alignment, got addr {addr}"
-            )
-        self.write_u64(addr, value)
 
     # ------------------------------------------------------------------
     # bulk probes
@@ -664,17 +557,6 @@ class RawBackend(Scans, Observable):
             stats.nvm_bytes_written += end - start
             stats.dirty_flushes += 1
 
-    def flush_range(self, addr: int, size: int) -> None:
-        """``clflush`` every line overlapping ``[addr, addr+size)``."""
-        if size <= 0:
-            return
-        self._check_range(addr, size)
-        line = self._line
-        first = addr // line
-        last = (addr + size - 1) // line
-        for ln in range(first, last + 1):
-            self.clflush(ln * line)
-
     def mfence(self) -> None:
         """Order stores (a no-op for correctness here; counts the event
         so crash countdowns stay aligned with the simulator)."""
@@ -722,58 +604,15 @@ class RawBackend(Scans, Observable):
         self.stats.fences += 1
 
     # ------------------------------------------------------------------
-    # crash/recovery
+    # crash hooks
 
-    def crash(self, schedule: CrashSchedule | None = None) -> CrashReport:
-        """Simulate a power failure with the same word-granular semantics
-        as the simulator: for every dirty line the schedule picks which
-        modified 8-byte words reach the persistent image."""
-        schedule = schedule or drop_all_schedule()
-        self._crash_countdown = None
-        report = CrashReport()
-        line_size = self.line_size
-        for line in sorted(self._dirty):
-            start = line * line_size
-            end = min(start + line_size, self.size)
-            dirty_words = [
-                off
-                for off in range(start, end, ATOMIC_UNIT)
-                if self._volatile[off : off + ATOMIC_UNIT]
-                != self._persistent[off : off + ATOMIC_UNIT]
-            ]
-            if not dirty_words:
-                continue
-            report.dirty_lines += 1
-            persisted = set(schedule.words_persisted(start, dirty_words))
-            for off in dirty_words:
-                if off in persisted:
-                    self._persistent[off : off + ATOMIC_UNIT] = self._volatile[
-                        off : off + ATOMIC_UNIT
-                    ]
-                    report.words_persisted += 1
-                else:
-                    report.words_dropped += 1
+    def _dirty_lines(self) -> list[int]:
+        """The dirty set in ascending line order."""
+        return sorted(self._dirty)
+
+    def _forget_cache(self) -> None:
+        """Nothing stays dirty after a reboot."""
         self._dirty.clear()
-        self._volatile[:] = self._persistent
-        return report
-
-    # ------------------------------------------------------------------
-    # introspection
-
-    def peek_persistent(self, addr: int, size: int) -> bytes:
-        """Read the persistent image directly (no cost)."""
-        self._check_range(addr, size)
-        return bytes(self._persistent[addr : addr + size])
-
-    def peek_volatile(self, addr: int, size: int) -> bytes:
-        """Read the volatile view directly (no cost)."""
-        self._check_range(addr, size)
-        return bytes(self._volatile[addr : addr + size])
-
-    def unpersisted_ranges(self) -> list[tuple[int, int]]:
-        """``(addr, size)`` extents where the two images differ (the
-        same exact image diff as :class:`NVMRegion`)."""
-        return image_diff(self._volatile, self._persistent)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -8,6 +8,11 @@ runs on. It keeps two images of the memory:
 - the **persistent image** — what survives :meth:`NVMRegion.crash`;
   updated only when a dirty line is ``clflush``-ed or evicted.
 
+The images and all that charges nothing (allocator, crash countdown,
+word-granular crash, peeks) are :class:`DualImage`'s, which
+:class:`~repro.nvm.backend.RawBackend` shares; a subclass adds only what
+an access charges and where its dirty lines live.
+
 Data paths mirror x86 + NVDIMM semantics: stores dirty a cacheline,
 ``clflush`` writes the line to the medium *and invalidates it* (charging
 the paper's +300 ns emulation penalty), ``mfence`` orders — in this
@@ -200,62 +205,53 @@ class Allocation:
     size: int
 
 
-class NVMRegion(Scans, Observable):
-    """A simulated persistent memory region with a cache in front.
+class DualImage(Scans, Observable):
+    """The cost-free half of a single-region backend: the two images,
+    the bump allocator, the armed-crash countdown and the event gate,
+    with everything that charges nothing (allocation, range checks, the
+    failure-atomic store, ``flush_range``/``persist`` as loops of the
+    subclass's ``clflush``/``mfence``, the word-granular :meth:`crash`,
+    the peeks and :meth:`unpersisted_ranges`).
 
-    All addresses are offsets into the region. Use :meth:`alloc` to carve
-    named extents (tables allocate their levels and metadata blocks this
-    way) and the ``read``/``write``/``persist`` family for data access.
+    A subclass decides what an access charges and where its dirty lines
+    live; :meth:`crash` asks it through two hooks: ``_dirty_lines()``,
+    the lines that may hold unflushed stores, in the order the schedule
+    rules on them, and ``_forget_cache()``, which drops that state.
 
-    ``__slots__`` covers the base class; subclasses (e.g.
-    :class:`~repro.nvm.wearlevel.WearLevelledRegion`) may still add
-    attributes — they get a ``__dict__`` of their own.
+    Each store, flush and fence tests one attribute, ``_slow``, set only
+    while a crash is armed or an observer is attached; :meth:`_pre_event`
+    then ticks the countdown and calls the observers, in that order.
+    Each subclass sets ``_in_place`` (see :class:`Scans`).
     """
 
     __slots__ = (
         "name",
         "size",
-        "config",
-        "_latency",
-        "_persistent",
-        "_volatile",
-        "cache",
         "stats",
         "_line",
+        "_persistent",
+        "_volatile",
         "_alloc_cursor",
         "allocations",
-        "_crash_countdown",
         "abandoned_bytes",
-        "wear",
+        "_crash_countdown",
         "_observers",
         "_notify",
-        "_prev_line",
-        "_fast_line",
-        "_run_ns",
+        "_slow",
         "_in_place",
     )
 
-    def __init__(
-        self,
-        size: int,
-        config: SimConfig | None = None,
-        *,
-        name: str = "nvm",
-    ) -> None:
+    def __init__(self, size: int, line_size: int, name: str) -> None:
         if size <= 0:
             raise ValueError("region size must be positive")
         self.name = name
         self.size = size
-        self.config = config or SimConfig()
-        self._latency = self.config.latency
+        self.stats = MemStats()
+        self._line = line_size
         self._persistent = bytearray(size)
         self._volatile = bytearray(size)
-        self.cache = CacheSim(self.config.cache)
-        self.stats = MemStats()
-        self._line = self.config.cache.line_size
         self._alloc_cursor = 0
         self.allocations: list[Allocation] = []
-        self._crash_countdown: int | None = None
         #: bytes allocated but no longer reachable from any live structure
         #: (half-built expansion tables, orphaned split segments, retired
         #: directory arrays). The bump allocator never reuses space, so
@@ -263,31 +259,16 @@ class NVMRegion(Scans, Observable):
         #: of silent. Volatile bookkeeping: it does not survive a real
         #: reboot, but within one process it bounds the waste.
         self.abandoned_bytes = 0
-        self.wear: WearMap | None = (
-            WearMap(size, self._line) if self.config.track_wear else None
-        )
+        self._crash_countdown: int | None = None
         #: observers (:meth:`observe`) called as ``fn(kind, addr, size)``
         #: for "write" / "flush" / "fence" events, in program order.
         #: Tests use them to assert persist *ordering* (e.g. Algorithm 1
         #: flushes the key-value bytes before the bitmap store issues).
         self._observers = ()
         self._notify = None
-        # sequential-stream prefetcher state: the last line touched; a
-        # miss on line N+1 right after touching line N is treated as
-        # prefetch-covered (see LatencyModel.prefetch_hit_ns)
-        self._prev_line = -(1 << 30)
-        # fast-path marker: the last line run through the cache, which
-        # is therefore resident and in MRU position until something
-        # invalidates it (clflush of that line, or a crash). Distinct
-        # from _prev_line, which is prefetcher state and must NOT be
-        # cleared on invalidation.
-        self._fast_line = -1
-        # the most one touch of a read window can add to the clock when
-        # windows may charge their touches as summed integer costs, else
-        # None (see :meth:`_charge_window`)
-        self._run_ns = self._window_touch_bound()
-        # scans decode in place on the base class only (see Scans)
-        self._in_place = self.__class__ is NVMRegion
+        # the event gate: True only while an armed crash or an observer
+        # needs per-event bookkeeping
+        self._slow = False
 
     # ------------------------------------------------------------------
     # allocation
@@ -333,6 +314,207 @@ class NVMRegion(Scans, Observable):
     def line_size(self) -> int:
         """Flush granularity in bytes (the cacheline)."""
         return self._line
+
+    def _check_range(self, addr: int, size: int) -> None:
+        if addr < 0 or size < 0 or addr + size > self.size:
+            raise IndexError(
+                f"access [{addr}, {addr + size}) outside region of size {self.size}"
+            )
+
+    # ------------------------------------------------------------------
+    # the event gate and crash injection
+
+    def _set_observers(self, observers) -> None:
+        super()._set_observers(observers)
+        self._slow = self._notify is not None or self._crash_countdown is not None
+
+    def _pre_event(self, kind: str, addr: int, size: int) -> None:
+        """What a store, flush or fence does first while ``_slow`` is
+        set: the armed crash's tick, then the observers."""
+        if self._crash_countdown is not None:
+            self._crash_tick()
+        notify = self._notify
+        if notify is not None:
+            notify(kind, addr, size)
+
+    def arm_crash(self, after_events: int) -> None:
+        """Arm a power failure that fires just before the ``after_events``-th
+        subsequent *persistence-relevant* event (store, flush, or fence).
+
+        Counting stores as well as flushes lets the fuzzer land crashes
+        between a write and its flush — the window where torn data is
+        possible."""
+        if after_events <= 0:
+            raise ValueError("after_events must be positive")
+        self._crash_countdown = after_events
+        self._slow = True
+
+    def disarm_crash(self) -> None:
+        """Cancel a pending armed crash (if it has not fired)."""
+        self._crash_countdown = None
+        self._slow = self._notify is not None
+
+    def _crash_tick(self) -> None:
+        """Count one event off the armed crash; fail at zero."""
+        countdown = self._crash_countdown - 1
+        if countdown <= 0:
+            self._crash_countdown = None
+            self._slow = self._notify is not None
+            raise SimulatedPowerFailure("armed crash point reached")
+        self._crash_countdown = countdown
+
+    # ------------------------------------------------------------------
+    # stores and persists that charge through the subclass
+
+    def write_atomic_u64(self, addr: int, value: int) -> None:
+        """The paper's 8-byte failure-atomic write.
+
+        Requires natural alignment so the word cannot straddle two
+        atomicity units. Semantically identical to ``write_u64`` (the
+        crash model already guarantees aligned 8-byte words never tear);
+        the separate name asserts alignment and documents intent at every
+        commit point in the hashing schemes.
+        """
+        if addr % ATOMIC_UNIT:
+            raise ValueError(
+                f"atomic write requires {ATOMIC_UNIT}-byte alignment, got addr {addr}"
+            )
+        self.write_u64(addr, value)
+
+    def flush_range(self, addr: int, size: int) -> None:
+        """``clflush`` every line overlapping ``[addr, addr+size)``."""
+        if size <= 0:
+            return
+        self._check_range(addr, size)
+        line_size = self._line
+        first = addr // line_size
+        last = (addr + size - 1) // line_size
+        for line in range(first, last + 1):
+            self.clflush(line * line_size)
+
+    def persist(self, addr: int, size: int = 8) -> None:
+        """The paper's ``Persist``: ``clflush`` the range, then ``mfence``."""
+        self.flush_range(addr, size)
+        self.mfence()
+
+    # ------------------------------------------------------------------
+    # crash/recovery support
+
+    def crash(self, schedule: CrashSchedule | None = None) -> CrashReport:
+        """Simulate a power failure.
+
+        For every line ``_dirty_lines()`` names, in its order, the
+        schedule picks which modified 8-byte words reach the persistent
+        image. Afterwards the volatile view is reset to the persistent
+        image, no crash is armed and ``_forget_cache()`` has dropped the
+        dirty lines — exactly the state recovery code sees at reboot.
+        """
+        schedule = schedule or drop_all_schedule()
+        self._crash_countdown = None
+        self._slow = self._notify is not None
+        report = CrashReport()
+        volatile, persistent = self._volatile, self._persistent
+        for line in self._dirty_lines():
+            start = line * self._line
+            end = min(start + self._line, self.size)
+            dirty_words = [
+                off
+                for off in range(start, end, ATOMIC_UNIT)
+                if volatile[off : off + ATOMIC_UNIT]
+                != persistent[off : off + ATOMIC_UNIT]
+            ]
+            if not dirty_words:
+                continue
+            report.dirty_lines += 1
+            persisted = set(schedule.words_persisted(start, dirty_words))
+            for off in dirty_words:
+                if off in persisted:
+                    persistent[off : off + ATOMIC_UNIT] = volatile[
+                        off : off + ATOMIC_UNIT
+                    ]
+                    report.words_persisted += 1
+                else:
+                    report.words_dropped += 1
+        volatile[:] = persistent
+        self._forget_cache()
+        return report
+
+    # ------------------------------------------------------------------
+    # introspection (tests and debugging; no costs charged)
+
+    def peek_persistent(self, addr: int, size: int) -> bytes:
+        """Read the persistent image directly (no cache, no cost)."""
+        self._check_range(addr, size)
+        return bytes(self._persistent[addr : addr + size])
+
+    def peek_volatile(self, addr: int, size: int) -> bytes:
+        """Read the volatile view directly (no cache, no cost)."""
+        self._check_range(addr, size)
+        return bytes(self._volatile[addr : addr + size])
+
+    def unpersisted_ranges(self) -> list[tuple[int, int]]:
+        """Return ``(addr, size)`` extents where the volatile view and the
+        persistent image differ — i.e. data that would be at risk in a
+        crash right now. Useful for durability assertions in tests."""
+        return image_diff(self._volatile, self._persistent)
+
+
+class NVMRegion(DualImage):
+    """A simulated persistent memory region with a cache in front.
+
+    All addresses are offsets into the region. Use :meth:`alloc` to carve
+    named extents (tables allocate their levels and metadata blocks this
+    way) and the ``read``/``write``/``persist`` family for data access.
+
+    Each access is charged through :class:`~repro.nvm.cache.CacheSim`
+    and the latency model; the dirty lines a crash rules on are the cache's.
+
+    ``__slots__`` covers this class; subclasses (e.g.
+    :class:`~repro.nvm.wearlevel.WearLevelledRegion`) may still add
+    attributes — they get a ``__dict__`` of their own.
+    """
+
+    __slots__ = (
+        "config",
+        "_latency",
+        "cache",
+        "wear",
+        "_prev_line",
+        "_fast_line",
+        "_run_ns",
+    )
+
+    def __init__(
+        self,
+        size: int,
+        config: SimConfig | None = None,
+        *,
+        name: str = "nvm",
+    ) -> None:
+        config = config or SimConfig()
+        super().__init__(size, config.cache.line_size, name)
+        self.config = config
+        self._latency = config.latency
+        self.cache = CacheSim(config.cache)
+        self.wear: WearMap | None = (
+            WearMap(size, self._line) if config.track_wear else None
+        )
+        # sequential-stream prefetcher state: the last line touched; a
+        # miss on line N+1 right after touching line N is treated as
+        # prefetch-covered (see LatencyModel.prefetch_hit_ns)
+        self._prev_line = -(1 << 30)
+        # fast-path marker: the last line run through the cache, which
+        # is therefore resident and in MRU position until something
+        # invalidates it (clflush of that line, or a crash). Distinct
+        # from _prev_line, which is prefetcher state and must NOT be
+        # cleared on invalidation.
+        self._fast_line = -1
+        # the most one touch of a read window can add to the clock when
+        # windows may charge their touches as summed integer costs, else
+        # None (see :meth:`_charge_window`)
+        self._run_ns = self._window_touch_bound()
+        # scans decode in place on this class only (see Scans)
+        self._in_place = self.__class__ is NVMRegion
 
     # ------------------------------------------------------------------
     # cache plumbing
@@ -420,38 +602,6 @@ class NVMRegion(Scans, Observable):
         # the final line is the one most recently run through the cache
         self._fast_line = last
 
-    def _check_range(self, addr: int, size: int) -> None:
-        if addr < 0 or size < 0 or addr + size > self.size:
-            raise IndexError(
-                f"access [{addr}, {addr + size}) outside region of size {self.size}"
-            )
-
-    # ------------------------------------------------------------------
-    # crash injection
-
-    def arm_crash(self, after_events: int) -> None:
-        """Arm a power failure that fires just before the ``after_events``-th
-        subsequent *persistence-relevant* event (store, flush, or fence).
-
-        Counting stores as well as flushes lets the fuzzer land crashes
-        between a write and its flush — the window where torn data is
-        possible."""
-        if after_events <= 0:
-            raise ValueError("after_events must be positive")
-        self._crash_countdown = after_events
-
-    def disarm_crash(self) -> None:
-        """Cancel a pending armed crash (if it has not fired)."""
-        self._crash_countdown = None
-
-    def _crash_tick(self) -> None:
-        if self._crash_countdown is None:
-            return
-        self._crash_countdown -= 1
-        if self._crash_countdown <= 0:
-            self._crash_countdown = None
-            raise SimulatedPowerFailure("armed crash point reached")
-
     # ------------------------------------------------------------------
     # data path
 
@@ -471,10 +621,8 @@ class NVMRegion(Scans, Observable):
         size = len(data)
         if addr < 0 or size < 0 or addr + size > self.size:
             self._check_range(addr, size)
-        if self._crash_countdown is not None:
-            self._crash_tick()
-        if self._notify is not None:
-            self._notify("write", addr, size)
+        if self._slow:
+            self._pre_event("write", addr, size)
         if size:
             self._touch(addr, size, True)
         stats = self.stats
@@ -486,7 +634,7 @@ class NVMRegion(Scans, Observable):
         """Load an 8-byte little-endian unsigned integer.
 
         Hot path of every header probe (:meth:`scan_clear_u64` funnels
-        here), so the base class unpacks straight from the volatile
+        here), so this class unpacks straight from the volatile
         view instead of slicing a ``bytes`` through :meth:`read`.
         Subclasses that remap addresses (wear leveling) get the
         polymorphic :meth:`read` route; events are identical either way.
@@ -505,25 +653,10 @@ class NVMRegion(Scans, Observable):
         """Store an 8-byte little-endian unsigned integer."""
         self.write(addr, _U64.pack(value))
 
-    def write_atomic_u64(self, addr: int, value: int) -> None:
-        """The paper's 8-byte failure-atomic write.
-
-        Requires natural alignment so the word cannot straddle two
-        atomicity units. Semantically identical to :meth:`write_u64`
-        (the crash model already guarantees aligned 8-byte words never
-        tear); the separate name asserts alignment and documents intent
-        at every commit point in the hashing schemes.
-        """
-        if addr % ATOMIC_UNIT:
-            raise ValueError(
-                f"atomic write requires {ATOMIC_UNIT}-byte alignment, got addr {addr}"
-            )
-        self.write_u64(addr, value)
-
     # ------------------------------------------------------------------
     # bulk probes
     #
-    # The probes are :class:`~repro.nvm.decode.Scans`: the base class
+    # The probes are :class:`~repro.nvm.decode.Scans`: this class
     # decodes a window or gather from the volatile view and charges the
     # event sequence of its per-word loop (the lines touched, in order,
     # and what each touch costs) line by line through
@@ -702,18 +835,17 @@ class NVMRegion(Scans, Observable):
     #
     # Like a probe, a bulk store's contract is the event sequence of its
     # per-call loop (:func:`_store_cells_loop`, and a ``clflush`` per line).
-    # The base class stores into the volatile view and charges that
+    # This class stores into the volatile view and charges that
     # sequence in one inlined loop; subclasses, an armed crash and an
     # attached observer run the loop itself, so every event ticks the
     # countdown and reaches the observers.
 
     def _fused_stores(self) -> bool:
-        """Whether the base class runs a bulk store inline (else the
+        """Whether this class runs a bulk store inline (else the
         loop runs)."""
         return (
             self.__class__ is NVMRegion
-            and self._crash_countdown is None
-            and self._notify is None
+            and not self._slow
             and self._line % ATOMIC_UNIT == 0
         )
 
@@ -886,9 +1018,8 @@ class NVMRegion(Scans, Observable):
         """Flush (and, with ``clflush`` semantics, invalidate) the line
         containing ``addr``. A dirty line pays the NVM write penalty."""
         self._check_range(addr, 1)
-        self._crash_tick()
-        if self._notify is not None:
-            self._notify("flush", addr, self._line)
+        if self._slow:
+            self._pre_event("flush", addr, self._line)
         line = addr // self._line
         if self.config.flush_invalidates:
             was_cached, was_dirty = self.cache.flush(line)
@@ -905,90 +1036,29 @@ class NVMRegion(Scans, Observable):
             self.stats.dirty_flushes += 1
         self.stats.sim_time_ns += self._latency.flush_cost(was_dirty)
 
-    def flush_range(self, addr: int, size: int) -> None:
-        """``clflush`` every line overlapping ``[addr, addr+size)``."""
-        if size <= 0:
-            return
-        self._check_range(addr, size)
-        first = addr // self._line
-        last = (addr + size - 1) // self._line
-        for line in range(first, last + 1):
-            self.clflush(line * self._line)
-
     def mfence(self) -> None:
         """Memory fence: orders stores (a no-op for correctness in this
         sequential simulator) and charges its cost."""
-        self._crash_tick()
-        if self._notify is not None:
-            self._notify("fence", 0, 0)
+        if self._slow:
+            self._pre_event("fence", 0, 0)
         self.stats.fences += 1
         self.stats.sim_time_ns += self._latency.fence_ns
 
     sfence = mfence
 
-    def persist(self, addr: int, size: int = 8) -> None:
-        """The paper's ``Persist``: ``clflush`` the range, then ``mfence``."""
-        self.flush_range(addr, size)
-        self.mfence()
-
     # ------------------------------------------------------------------
-    # crash/recovery support
+    # crash hooks
 
-    def crash(self, schedule: CrashSchedule | None = None) -> CrashReport:
-        """Simulate a power failure.
+    def _dirty_lines(self) -> list[int]:
+        """The cache's dirty lines, in its own set-major order: a
+        ``random_schedule`` crash draws one value per dirty word in this
+        order, so it is part of the crash's result."""
+        return list(self.cache.dirty_lines())
 
-        For every line still dirty in the cache, the schedule picks which
-        modified 8-byte words reach the persistent image. Afterwards the
-        volatile view is reset to the persistent image and the cache is
-        cold — exactly the state recovery code sees at reboot.
-        """
-        schedule = schedule or drop_all_schedule()
-        self._crash_countdown = None
-        report = CrashReport()
-        for line in list(self.cache.dirty_lines()):
-            start = line * self._line
-            end = min(start + self._line, self.size)
-            dirty_words = [
-                off
-                for off in range(start, end, ATOMIC_UNIT)
-                if self._volatile[off : off + ATOMIC_UNIT]
-                != self._persistent[off : off + ATOMIC_UNIT]
-            ]
-            if not dirty_words:
-                continue
-            report.dirty_lines += 1
-            persisted = set(schedule.words_persisted(start, dirty_words))
-            for off in dirty_words:
-                if off in persisted:
-                    self._persistent[off : off + ATOMIC_UNIT] = self._volatile[
-                        off : off + ATOMIC_UNIT
-                    ]
-                    report.words_persisted += 1
-                else:
-                    report.words_dropped += 1
-        self._volatile[:] = self._persistent
+    def _forget_cache(self) -> None:
+        """Reboot with a cold cache."""
         self.cache.invalidate_all()
         self._fast_line = -1
-        return report
-
-    # ------------------------------------------------------------------
-    # introspection (tests and debugging; no costs charged)
-
-    def peek_persistent(self, addr: int, size: int) -> bytes:
-        """Read the persistent image directly (no cache, no cost)."""
-        self._check_range(addr, size)
-        return bytes(self._persistent[addr : addr + size])
-
-    def peek_volatile(self, addr: int, size: int) -> bytes:
-        """Read the volatile view directly (no cache, no cost)."""
-        self._check_range(addr, size)
-        return bytes(self._volatile[addr : addr + size])
-
-    def unpersisted_ranges(self) -> list[tuple[int, int]]:
-        """Return ``(addr, size)`` extents where the volatile view and the
-        persistent image differ — i.e. data that would be at risk in a
-        crash right now. Useful for durability assertions in tests."""
-        return image_diff(self._volatile, self._persistent)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

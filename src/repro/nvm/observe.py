@@ -25,8 +25,8 @@ def _fan_out(observers: tuple[Callable, ...]) -> Callable | None:
 
 
 class Observable:
-    """Mixin for hosts that set ``_observers = ()`` and ``_notify =
-    None`` and guard each event with ``if self._notify is not None``."""
+    """Mixin for hosts that set ``_observers = ()`` and ``_notify = None``
+    and guard each event on ``_notify`` (or a flag ``_set_observers`` keeps)."""
 
     __slots__ = ()
 

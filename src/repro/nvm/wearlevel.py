@@ -81,7 +81,9 @@ class WearLevelledRegion(NVMRegion):
 
     ``size`` is the *logical* capacity; physically the region holds two
     extra lines (the gap and a register line). All inherited data-path
-    methods operate on logical addresses.
+    methods operate on logical addresses. The failure-atomic store is
+    the inherited one: an aligned 8-byte word never straddles a line, so
+    its logical ``write`` maps to one physical segment.
     """
 
     def __init__(
@@ -198,15 +200,16 @@ class WearLevelledRegion(NVMRegion):
             yield phys, offset, offset + take
             offset += take
 
+    def _gather(self, load, addr: int, size: int) -> bytes:
+        """``load`` (a physical read or peek) of each translated segment
+        of a logical range, joined."""
+        self._check_logical(addr, size)
+        return b"".join(load(p, e - s) for p, s, e in self._segments(addr, size))
+
     def read(self, addr: int, size: int) -> bytes:
         if self._rotating:  # rotation's own traffic is already physical
             return super().read(addr, size)
-        self._check_logical(addr, size)
-        parts = [
-            super(WearLevelledRegion, self).read(p, e - s)
-            for p, s, e in self._segments(addr, size)
-        ]
-        return b"".join(parts)
+        return self._gather(super().read, addr, size)
 
     def write(self, addr: int, data: bytes) -> None:
         if self._rotating:
@@ -246,25 +249,8 @@ class WearLevelledRegion(NVMRegion):
     def peek_volatile(self, addr: int, size: int) -> bytes:
         """Volatile view through the mapping (no cost). Tables' item
         inventories use this with logical addresses, so it translates."""
-        self._check_logical(addr, size)
-        return b"".join(
-            super(WearLevelledRegion, self).peek_volatile(p, e - s)
-            for p, s, e in self._segments(addr, size)
-        )
+        return self._gather(super().peek_volatile, addr, size)
 
     def peek_persistent(self, addr: int, size: int) -> bytes:
         """Persistent image through the mapping (no cost)."""
-        self._check_logical(addr, size)
-        return b"".join(
-            super(WearLevelledRegion, self).peek_persistent(p, e - s)
-            for p, s, e in self._segments(addr, size)
-        )
-
-    def write_atomic_u64(self, addr: int, value: int) -> None:
-        if addr % ATOMIC_UNIT:
-            raise ValueError(
-                f"atomic write requires {ATOMIC_UNIT}-byte alignment, got addr {addr}"
-            )
-        # an aligned 8-byte word never straddles lines, so the single
-        # translated segment keeps failure atomicity
-        self.write(addr, value.to_bytes(8, "little"))
+        return self._gather(super().peek_persistent, addr, size)

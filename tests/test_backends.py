@@ -517,7 +517,9 @@ def test_sharded_delete_many_duplicate_key_matches_scalar(growable):
 def test_raw_backend_is_faster_than_sim():
     # modest margin (the acceptance benchmark demonstrates ~5x at
     # 2^16 cells; this guard at small scale just proves the fast path
-    # is wired, without becoming flaky on loaded CI runners)
+    # is wired, without becoming flaky on loaded CI runners: each side
+    # is the fastest of three interleaved fills, so one slow moment of
+    # the runner cannot decide the ratio)
     import time
 
     from repro.bench.config import region_for
@@ -533,7 +535,10 @@ def test_raw_backend_is_faster_than_sim():
             table.insert(i.to_bytes(8, "little"), b"x" * 8)
         return time.perf_counter() - start
 
-    sim_s, raw_s = fill("sim"), fill("raw")
+    sim_s = raw_s = float("inf")
+    for _ in range(3):
+        sim_s = min(sim_s, fill("sim"))
+        raw_s = min(raw_s, fill("raw"))
     assert raw_s < sim_s / 1.5
 
 
@@ -662,8 +667,19 @@ def test_event_hook_kinds_and_sizes():
     assert events[1][2] == r.line_size
 
 
-def test_event_hook_uninstall_restores_raw_fast_path():
-    r = make_raw(1 << 12)
+#: one single-region backend per class sharing the event gate
+GATED_BACKENDS = {
+    "sim": lambda: small_region(1 << 16),
+    "raw": lambda: make_raw(1 << 16),
+    "wear-levelled": lambda: WearLevelledRegion(
+        1 << 16, SimConfig(cache=SMALL_CACHE), rotate_every=8
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(GATED_BACKENDS))
+def test_event_hook_uninstall_restores_the_fast_path(kind):
+    r = GATED_BACKENDS[kind]()
     addr = r.alloc(64, align=64)
     assert r._slow is False
     events = []
@@ -708,11 +724,7 @@ def _tagged(log, tag):
 @pytest.mark.parametrize("kind", ["sim", "raw", "wear-levelled", "sharded"])
 def test_observers_run_in_attach_order_and_leave_by_identity(kind):
     backend = {
-        "sim": lambda: small_region(1 << 16),
-        "raw": lambda: make_raw(1 << 16),
-        "wear-levelled": lambda: WearLevelledRegion(
-            1 << 16, SimConfig(cache=SMALL_CACHE), rotate_every=8
-        ),
+        **GATED_BACKENDS,
         "sharded": lambda: ShardedBackend(2, lambda i: make_raw(1 << 16)),
     }[kind]()
     target = backend.shard(1) if kind == "sharded" else backend
@@ -737,8 +749,9 @@ def test_observers_run_in_attach_order_and_leave_by_identity(kind):
         backend.unobserve(a)
 
 
-def test_raw_fast_path_returns_once_the_last_observer_leaves():
-    r = make_raw(1 << 12)
+@pytest.mark.parametrize("kind", list(GATED_BACKENDS))
+def test_fast_path_returns_once_the_last_observer_leaves(kind):
+    r = GATED_BACKENDS[kind]()
     log = []
     first, second = _tagged(log, 1), _tagged(log, 2)
     r.observe(first)
@@ -754,6 +767,22 @@ def test_raw_fast_path_returns_once_the_last_observer_leaves():
     r.unobserve(first)
     assert r._slow is True
     r.disarm_crash()
+    assert r._slow is False
+
+
+@pytest.mark.parametrize("kind", list(GATED_BACKENDS))
+def test_fired_crash_restores_the_fast_path(kind):
+    r = GATED_BACKENDS[kind]()
+    addr = r.alloc(64, align=64)
+    r.arm_crash(2)
+    assert r._slow is True
+    r.write_u64(addr, 1)
+    with pytest.raises(SimulatedPowerFailure):
+        r.write_u64(addr, 2)
+    assert r._slow is False
+    # so does a power failure while a crash is still armed
+    r.arm_crash(5)
+    r.crash()
     assert r._slow is False
 
 

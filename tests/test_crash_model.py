@@ -1,9 +1,10 @@
-"""Tests for crash schedules and NVMRegion.crash() semantics."""
+"""Tests for crash schedules and the backends' shared crash() semantics."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nvm import CacheConfig, NVMRegion, SimConfig
+from repro.nvm import CacheConfig, NVMRegion, RawBackend, SimConfig
 from repro.nvm.crash import (
     FunctionSchedule,
     RecordingSchedule,
@@ -89,6 +90,32 @@ def test_recording_schedule_wraps():
     assert dirty == chosen == (0,)
 
 
+#: a cache of two sets of two 64-byte lines
+TWO_SETS = SimConfig(cache=CacheConfig(size_bytes=256, line_size=64, associativity=2))
+
+
+@pytest.mark.parametrize(
+    "make, order",
+    [
+        (lambda: NVMRegion(1024, TWO_SETS), [2, 0, 1]),
+        (lambda: RawBackend(1024), [0, 1, 2]),
+    ],
+    ids=["sim", "raw"],
+)
+def test_crash_rules_on_dirty_lines_in_each_backends_order(make, order):
+    """The schedule rules on dirty lines in an order each backend fixes,
+    and a ``random_schedule`` draws one value per dirty word in that
+    order, so it is part of a crash's result. The simulator keeps its
+    cache's set-major order (lines 2 and 0 share set 0 of two, in LRU
+    order); the raw backend sorts its dirty set."""
+    r = make()
+    for line in (2, 1, 0):
+        r.write(line * 64, b"x" * 8)
+    rec = RecordingSchedule(drop_all_schedule())
+    r.crash(rec)
+    assert [addr // 64 for addr, _, _ in rec.decisions] == order
+
+
 def test_random_schedule_is_seed_deterministic():
     offs = tuple(range(0, 64, 8))
     a = random_schedule(123).words_persisted(0, offs)
@@ -112,6 +139,7 @@ def test_double_crash_is_stable():
     assert r.peek_persistent(0, 64) == before
 
 
+@pytest.mark.parametrize("make", [region, RawBackend], ids=["sim", "raw"])
 @settings(max_examples=50, deadline=None)
 @given(
     writes=st.lists(
@@ -121,10 +149,10 @@ def test_double_crash_is_stable():
     ),
     seed=st.integers(0, 2**16),
 )
-def test_crash_outcome_is_between_drop_all_and_persist_all(writes, seed):
+def test_crash_outcome_is_between_drop_all_and_persist_all(make, writes, seed):
     """Property: after any crash, each 8-byte word equals either its
     pre-crash persistent value or its pre-crash volatile value."""
-    r = region(1024)
+    r = make(1024)
     for addr, data in writes:
         r.write(addr, data)
         if addr % 3 == 0:
