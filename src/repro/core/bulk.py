@@ -6,9 +6,10 @@ order — random cacheline traffic. For initial loads (restoring a backup
 of a dedup index, warming a cache from a snapshot) none of that is
 necessary, and this module provides the standard optimisation:
 
-1. *plan* all placements in memory (for each hash function in turn, the
-   home cell, else the first free slot of the matched level-2 group —
-   identical placement policy to Algorithm 1, so the resulting table is
+1. *plan* all placements in memory in item order (the home cell under
+   hash 0, else the first free slot of its level-2 group; only an item
+   neither can take tries the other hash functions, in order, the same
+   way — Algorithm 1's placement policy, so the resulting table is
    indistinguishable from one built by single inserts in the same
    order);
 2. *write* cells in **address order**, setting the kv and header of
@@ -16,11 +17,13 @@ necessary, and this module provides the standard optimisation:
 3. *flush* each touched cacheline exactly once, sequentially (stream-
    prefetch friendly), fence, and persist the count last.
 
-Planning hashes the items a chunk at a time (:meth:`HashFamily.hash_many`)
-and the writes go through the backend's bulk stores
-(:meth:`~repro.nvm.backend.MemoryBackend.store_cells`, ``flush_lines``),
-:data:`BULK_CHUNK` cells a call, so no per-item list of the whole batch
-is held beyond the placement plan.
+Planning hashes the items :data:`BULK_CHUNK` at a time
+(:meth:`HashFamily.hash_many`), and the writes go through the backend's
+bulk stores (:meth:`~repro.nvm.backend.MemoryBackend.store_cells`,
+``flush_lines``) in ascending chunks of at most :data:`BULK_CHUNK`
+cells — on the simulator, a batch charged once per cacheline — each
+chunk's flush list built from the same cell list. No per-item list of
+the whole batch is held beyond the placement plan.
 
 Trade-off, stated loudly: a crash **during** a bulk load is not
 item-atomic — a torn line can persist a set bitmap without its
@@ -38,7 +41,7 @@ from repro.core.group_hash import GroupHashTable, _touched_lines
 from repro.tables.cell import HEADER_SIZE, OCCUPIED_BIT
 
 #: items hashed, and cells stored, per call
-BULK_CHUNK = 256
+BULK_CHUNK = 4096
 
 
 def bulk_load(
@@ -77,11 +80,13 @@ def bulk_load(
     for start in range(0, len(items), BULK_CHUNK):
         chunk = items[start : start + BULK_CHUNK]
         homes = hash_many(0, [key for key, _ in chunk])
-        for index, (key, value), home in zip(
-            range(start, start + len(chunk)), chunk, homes
-        ):
-            for hi, h in enumerate(hashes):
-                k = (h(key) if hi else home) % n_level
+        for index, item, home in zip(range(start, start + len(chunk)), chunk, homes):
+            # Algorithm 1 per hash function: the home cell, else the
+            # group's first free cell; only an item hash 0 cannot place
+            # walks the others
+            k = home % n_level
+            hi = 0
+            while True:
                 if not level1_used[k]:
                     level1_used[k] = 1
                     placements.append((tab1 + k * cell_size) << shift | index)
@@ -92,8 +97,11 @@ def bulk_load(
                     level2_used[j] = 1
                     placements.append((tab2 + j * cell_size) << shift | index)
                     break
-            else:
-                rejected.append((key, value))
+                hi += 1
+                if hi == len(hashes):
+                    rejected.append(item)
+                    break
+                k = hashes[hi](item[0]) % n_level
 
     if not placements:
         return rejected
@@ -106,7 +114,8 @@ def bulk_load(
         chunk = placements[start : start + BULK_CHUNK]
         cells = [p >> shift for p in chunk]
         payloads = [
-            key + value for key, value in (items[p & index_mask] for p in chunk)
+            key + value
+            for key, value in map(items.__getitem__, map(index_mask.__and__, chunk))
         ]
         region.store_cells(cells, payloads, HEADER_SIZE, OCCUPIED_BIT)
         # chunks ascend, so only a chunk's first line can repeat the

@@ -43,6 +43,7 @@ from repro.nvm.memory import (
     DualImage,
     NVMRegion,
     _MIN_BATCH,
+    _apply_stores,
     _flush_batch,
     _store_batch,
     _store_cells_loop,
@@ -469,21 +470,7 @@ class RawBackend(DualImage):
         if size is None or size > line_size:
             _store_cells_loop(self, cells, payloads, offset, mask)
             return
-        vol = self._volatile
-        if not mask:
-            for cell, payload in zip(cells, payloads):
-                addr = cell + offset
-                vol[addr : addr + size] = payload
-        else:
-            pack, unpack = _U64.pack_into, _U64.unpack_from
-            for i, cell in enumerate(cells):
-                if size:
-                    addr = cell + offset
-                    vol[addr : addr + size] = payloads[i]
-                if mask <= 0xFF:
-                    vol[cell] |= mask
-                else:
-                    pack(vol, cell, unpack(vol, cell)[0] | mask)
+        _apply_stores(self, cells, payloads, offset, size, mask)
         # an extent of at most one line spans its first and last line;
         # an aligned header word never straddles (line_size % 8 == 0)
         dirty = self._dirty
@@ -493,16 +480,6 @@ class RawBackend(DualImage):
             dirty.update([(cell + end) // line_size for cell in cells])
         if mask:
             dirty.update([cell // line_size for cell in cells])
-        n = len(cells)
-        stats = self.stats
-        if size:
-            stats.writes += n
-            stats.bytes_written += n * size
-        if mask:
-            stats.reads += n
-            stats.bytes_read += n * ATOMIC_UNIT
-            stats.writes += n
-            stats.bytes_written += n * ATOMIC_UNIT
 
     def flush_lines(self, lines) -> None:
         """``clflush`` per line number of ``lines``, in order; natively,

@@ -129,7 +129,7 @@ class CacheSim:
         head_filled = first < end and first not in sets[first % n_sets]
         dirty: list[tuple[int, int]] = []
         if end - first < self._long_run:
-            fills, evictions = self._enter_lines(range(first, end), dirty)
+            fills, _, evictions = self._enter_lines(range(first, end), dirty)
             if dirty:
                 dirty = [victim for _, victim in dirty]
             return fills, head_filled, evictions, dirty
@@ -141,7 +141,7 @@ class CacheSim:
             if bucket:
                 # a resident line is in the run exactly when it is in lines
                 if any(map(lines.__contains__, bucket)):
-                    set_fills, set_evictions = self._enter_lines(lines, dirty)
+                    set_fills, _, set_evictions = self._enter_lines(lines, dirty)
                     fills += set_fills
                     evictions += set_evictions
                     continue
@@ -158,29 +158,39 @@ class CacheSim:
         return fills, head_filled, evictions, [victim for _, victim in dirty]
 
     def _enter_lines(
-        self, lines: range, dirty: list[tuple[int, int]]
-    ) -> tuple[int, int]:
-        """The step of ``access(line, is_write=False)`` for each of
-        ``lines`` in order; returns ``(fills, evictions)`` and appends
-        ``(evicting_line, victim)`` to ``dirty`` per dirty victim."""
+        self,
+        lines,
+        dirty: list[tuple[int, int]],
+        write: bool = False,
+        prev: int | None = None,
+    ) -> tuple[int, int, int]:
+        """The step of ``access(line, is_write=write)`` for each of
+        ``lines`` in order; returns ``(fills, prefetched, evictions)`` and
+        appends ``(evicting_line, victim)`` to ``dirty`` per dirty victim.
+        A fill is prefetch-covered when it follows the line entered just
+        before it (``prev`` before the first)."""
         sets = self._sets
         n_sets = self._n_sets
         assoc = self._assoc
-        fills = evictions = 0
+        fills = prefetched = evictions = 0
         for line in lines:
             bucket = sets[line % n_sets]
             flag = bucket.pop(line, None)
             if flag is not None:
-                bucket[line] = flag
+                bucket[line] = flag or write
+                prev = line
                 continue
             fills += 1
+            if line - 1 == prev:
+                prefetched += 1
             if len(bucket) >= assoc:
                 victim = next(iter(bucket))
                 evictions += 1
                 if bucket.pop(victim):
                     dirty.append((line, victim))
-            bucket[line] = False
-        return fills, evictions
+            bucket[line] = write
+            prev = line
+        return fills, prefetched, evictions
 
     def touch_mru(self, line: int, is_write: bool) -> None:
         """Repeat-touch a line the caller *knows* is resident and MRU.

@@ -26,6 +26,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from itertools import chain, islice
+from operator import lt
 
 from repro.nvm.cache import CacheConfig, CacheSim
 from repro.nvm.crash import CrashSchedule, drop_all_schedule
@@ -146,6 +148,45 @@ def _store_batch(region, cells, payloads, offset: int, mask: int) -> int | None:
     ):
         return None
     return size
+
+
+def _apply_stores(region, cells, payloads, offset: int, size: int, mask: int) -> None:
+    """What :func:`_store_cells_loop` leaves in ``region``'s volatile
+    image and access counts, for a batch :func:`_store_batch` accepted
+    (``size`` its payload size). The stores land cell by cell in the
+    loop's order, so overlapping extents land as they would; payloads
+    go through a memoryview, whose slice stores cost half a
+    bytearray's."""
+    vol = region._volatile
+    with memoryview(vol) as view:
+        if mask > 0xFF:
+            pack, unpack = _U64.pack_into, _U64.unpack_from
+            for i, cell in enumerate(cells):
+                if size:
+                    view[cell + offset : cell + offset + size] = payloads[i]
+                pack(vol, cell, unpack(vol, cell)[0] | mask)
+        elif not mask:
+            for cell, payload in zip(cells, payloads):
+                addr = cell + offset
+                view[addr : addr + size] = payload
+        elif not size:
+            for cell in cells:
+                vol[cell] |= mask
+        else:
+            for cell, payload in zip(cells, payloads):
+                addr = cell + offset
+                view[addr : addr + size] = payload
+                vol[cell] |= mask
+    n = len(cells)
+    stats = region.stats
+    if size:
+        stats.writes += n
+        stats.bytes_written += n * size
+    if mask:
+        stats.reads += n
+        stats.bytes_read += n * ATOMIC_UNIT
+        stats.writes += n
+        stats.bytes_written += n * ATOMIC_UNIT
 
 
 def _flush_batch(region, lines) -> bool:
@@ -836,18 +877,10 @@ class NVMRegion(DualImage):
     # Like a probe, a bulk store's contract is the event sequence of its
     # per-call loop (:func:`_store_cells_loop`, and a ``clflush`` per line).
     # This class stores into the volatile view and charges that
-    # sequence in one inlined loop; subclasses, an armed crash and an
-    # attached observer run the loop itself, so every event ticks the
-    # countdown and reaches the observers.
-
-    def _fused_stores(self) -> bool:
-        """Whether this class runs a bulk store inline (else the
-        loop runs)."""
-        return (
-            self.__class__ is NVMRegion
-            and not self._slow
-            and self._line % ATOMIC_UNIT == 0
-        )
+    # sequence once per line (ascending store batches) or per flushed
+    # line; subclasses, an armed crash and an attached observer run the
+    # loop itself, so every event ticks the countdown and reaches the
+    # observers.
 
     def store_cells(
         self, cells, payloads=None, offset: int = 8, mask: int = 0
@@ -858,118 +891,122 @@ class NVMRegion(DualImage):
         batch, without the flushes. Either half is skipped:
         ``payloads=None`` or ``mask=0``.
 
-        The contract is the event sequence of that loop. The fused path
-        charges it as :meth:`_charge_reads`' per-cell loop does:
-        :meth:`CacheSim.access` once per line entered, a repeat touch of
-        the MRU line a hit that only marks it dirty (``touch_mru``), one
-        ``sim_time_ns`` add per touch in the loop's order, dirty victims
-        written back in that order (with the clock published first)
-        before the store that displaced them lands."""
-        if len(cells) < _MIN_BATCH or not self._fused_stores():
-            _store_cells_loop(self, cells, payloads, offset, mask)
-            return
-        size = _store_batch(self, cells, payloads, offset, mask)
-        if size is None:
-            _store_cells_loop(self, cells, payloads, offset, mask)
-            return
-        stats = self.stats
-        access = self.cache.access
-        touch_mru = self.cache.touch_mru
-        latency = self._latency
-        hit_ns = latency.cache_hit_ns
+        The contract is the event sequence of that loop. A batch of at
+        least :data:`_MIN_BATCH` strictly ascending cells, each touching
+        at most ``line_size`` bytes, on a cache of at least 2 sets, with
+        the integer costs :meth:`_charge_window` needs, is charged once
+        per line by :meth:`_store_lines`; every other batch runs
+        :func:`_store_cells_loop`."""
+        if len(cells) >= _MIN_BATCH and self._run_ns is not None and not self._slow:
+            size = _store_batch(self, cells, payloads, offset, mask)
+            if size is not None and self._store_lines(
+                cells, payloads, offset, mask, size
+            ):
+                return
+        _store_cells_loop(self, cells, payloads, offset, mask)
+
+    def _store_lines(self, cells, payloads, offset: int, mask: int, size: int) -> bool:
+        """Charge and apply an ascending store batch once per line, or
+        return False with nothing changed (DESIGN.md decision 23).
+
+        The batch's touches with repeats of the line touched just before
+        (MRU hits) dropped enter the cache as writes in one
+        :meth:`CacheSim._enter_lines` call; the other touches are hits,
+        and the clock gets each cost times its count, as in
+        :meth:`_charge_window`. The stores land as slices between the
+        two halves of the dirty victims: one above the line that
+        evicted it has not been reached by the batch yet, one below has
+        had all of its stores. That holds because, with strictly
+        ascending cells, extents of at most one line and at least 2
+        sets, each set's lines are entered in ascending order and every
+        touch of a line comes before the next line of its set."""
         line_size = self._line
-        span = size - 1
-        vol = self._volatile
-        byte_mask = mask <= 0xFF
-        fast = self._fast_line
-        prev = self._prev_line
-        sim = stats.sim_time_ns
-        hits = misses = prefetched = evictions = 0
-        for i, cell in enumerate(cells):
-            if size:
-                # write(cell + offset, payload): every line it spans
-                addr = cell + offset
-                line = addr // line_size
-                last = (addr + span) // line_size
-                if line == fast:
-                    touch_mru(line, True)
-                    hits += 1
-                    sim += hit_ns
-                    line += 1
-                while line <= last:
-                    hit, evicted = access(line, is_write=True)
-                    if hit:
-                        hits += 1
-                        sim += hit_ns
-                    elif line == prev + 1:
-                        prefetched += 1
-                        sim += latency.prefetch_hit_ns
-                    else:
-                        misses += 1
-                        sim += latency.line_fill_ns
-                    prev = line
-                    if evicted is not None:
-                        evictions += 1
-                        if evicted[1]:
-                            stats.sim_time_ns = sim
-                            self._writeback(evicted[0])
-                            sim += latency.eviction_writeback_ns
-                    line += 1
-                fast = last
-                vol[addr : addr + size] = payloads[i]
-            if mask:
-                # read_u64(cell), then write_atomic_u64 of the same word:
-                # one line, entered by the read, so the write is a hit
-                line = cell // line_size
-                if line == fast:
-                    touch_mru(line, True)
-                    hits += 2
-                    sim += hit_ns
-                    sim += hit_ns
-                else:
-                    # one access for both touches: the fill (or hit)
-                    # leaves the line MRU and, after the write, dirty
-                    hit, evicted = access(line, is_write=True)
-                    if hit:
-                        hits += 1
-                        sim += hit_ns
-                    elif line == prev + 1:
-                        prefetched += 1
-                        sim += latency.prefetch_hit_ns
-                    else:
-                        misses += 1
-                        sim += latency.line_fill_ns
-                    prev = fast = line
-                    if evicted is not None:
-                        evictions += 1
-                        if evicted[1]:
-                            stats.sim_time_ns = sim
-                            self._writeback(evicted[0])
-                            sim += latency.eviction_writeback_ns
-                    hits += 1
-                    sim += hit_ns
-                if byte_mask:
-                    vol[cell] |= mask
-                else:
-                    _U64.pack_into(vol, cell, _U64.unpack_from(vol, cell)[0] | mask)
-        self._prev_line = prev
-        self._fast_line = fast
-        n = len(cells)
+        extent: list[int] = []
         if size:
-            stats.writes += n
-            stats.bytes_written += n * size
+            extent += (offset, offset + size)
         if mask:
-            stats.reads += n
-            stats.bytes_read += n * ATOMIC_UNIT
-            stats.writes += n
-            stats.bytes_written += n * ATOMIC_UNIT
+            extent += (0, ATOMIC_UNIT)
+        if (
+            max(extent) - min(extent) > line_size
+            or self.config.cache.n_sets < 2
+            or not all(map(lt, cells, islice(cells, 1, None)))
+        ):
+            return False
+        # per cell: the payload's first and last line (the same line
+        # unless it straddles), then the header line, touched twice
+        n = len(cells)
+        touches = 0
+        columns = []
+        if size:
+            end = offset + size - 1
+            firsts = [(cell + offset) // line_size for cell in cells]
+            lasts = [(cell + end) // line_size for cell in cells]
+            columns += (firsts, lasts)
+            touches = n + sum(lasts) - sum(firsts)
+        if mask:
+            columns.append([cell // line_size for cell in cells])
+            touches += 2 * n
+        stats = self.stats
+        sim = stats.sim_time_ns
+        if sim + touches * self._run_ns >= _EXACT_NS:
+            return False
+        sequence = [0] * (len(columns) * n)
+        for i, column in enumerate(columns):
+            sequence[i :: len(columns)] = column
+        fast = self._fast_line
+        cache = self.cache
+        if sequence[0] == fast:
+            cache.touch_mru(fast, True)
+        entered = [
+            line
+            for before, line in zip(chain((fast,), sequence), sequence)
+            if line != before
+        ]
+        victims: list[tuple[int, int]] = []
+        fills, prefetched, evictions = cache._enter_lines(
+            entered, victims, True, self._prev_line
+        )
+        if entered:
+            self._prev_line = entered[-1]
+        self._fast_line = sequence[-1]
+        self._writeback_lines([v for line, v in victims if v > line])
+        _apply_stores(self, cells, payloads, offset, size, mask)
+        self._writeback_lines([v for line, v in victims if v < line])
+        misses = fills - prefetched
+        hits = touches - fills
         stats.cache_hits += hits
-        if misses or prefetched:  # fills, and the evictions they caused
-            stats.cache_misses += misses
-            stats.prefetched_fills += prefetched
-            stats.nvm_line_reads += misses + prefetched
-            stats.evictions += evictions
-        stats.sim_time_ns = sim
+        stats.cache_misses += misses
+        stats.prefetched_fills += prefetched
+        stats.nvm_line_reads += fills
+        stats.evictions += evictions
+        latency = self._latency
+        stats.sim_time_ns = sim + (
+            hits * latency.cache_hit_ns
+            + prefetched * latency.prefetch_hit_ns
+            + misses * latency.line_fill_ns
+            + len(victims) * latency.eviction_writeback_ns
+        )
+        return True
+
+    def _writeback_lines(self, lines: list[int]) -> None:
+        """:meth:`_writeback` of each of ``lines`` (distinct, any order,
+        with no wear tracking), one slice copy per run of adjacent lines."""
+        if not lines:
+            return
+        lines.sort()
+        line_size = self._line
+        written = 0
+        start = lines[0]
+        for prev, line in zip(lines, lines[1:] + [-1]):
+            if line != prev + 1:
+                lo, hi = start * line_size, min((prev + 1) * line_size, self.size)
+                self._persistent[lo:hi] = self._volatile[lo:hi]
+                written += hi - lo
+                start = line
+        stats = self.stats
+        stats.writebacks += len(lines)
+        stats.nvm_line_writes += len(lines)
+        stats.nvm_bytes_written += written
 
     def flush_lines(self, lines) -> None:
         """``clflush(line * line_size)`` per line number of ``lines``, in
@@ -978,8 +1015,11 @@ class NVMRegion(DualImage):
         The contract is the event sequence of that loop; the fused path
         runs each line through the cache once and charges the flush
         costs in the loop's order."""
-        if len(lines) < _MIN_BATCH or not (
-            self._fused_stores() and _flush_batch(self, lines)
+        if (
+            len(lines) < _MIN_BATCH
+            or self.__class__ is not NVMRegion
+            or self._slow
+            or not _flush_batch(self, lines)
         ):
             for line in lines:
                 self.clflush(line * self._line)
@@ -1022,14 +1062,13 @@ class NVMRegion(DualImage):
             self._pre_event("flush", addr, self._line)
         line = addr // self._line
         if self.config.flush_invalidates:
-            was_cached, was_dirty = self.cache.flush(line)
+            was_dirty = self.cache.flush(line)[1]
             if line == self._fast_line:
                 # the invalidated line is no longer resident; the
                 # prefetcher state (_prev_line) deliberately survives
                 self._fast_line = -1
         else:
             was_dirty = self.cache.writeback(line)
-            was_cached = was_dirty or self.cache.contains(line)
         self.stats.flushes += 1
         if was_dirty:
             self._writeback(line)

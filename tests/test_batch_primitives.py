@@ -12,6 +12,7 @@ on both sides of its numpy cut-off.
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import pytest
@@ -32,6 +33,7 @@ from tests.test_scan_primitives import (
 from repro import CacheConfig, NVMRegion, RawBackend, SimConfig, SimulatedPowerFailure
 from repro.hashes import HashFamily, functions
 from repro.hashes.functions import _NP_MIN_HASH
+from repro.nvm import memory
 from repro.nvm.wearlevel import WearLevelledRegion
 
 
@@ -50,19 +52,29 @@ def _loop_flush(region, lines):
         region.clflush(line * region.line_size)
 
 
-def _store_args(data, rng):
+def _store_args(data, rng, line=None):
     """A batch of cells (straddling lines, sometimes shuffled, repeated,
-    unaligned or past the region's end), payloads or None, an offset and
-    a mask (0 skips the commit half)."""
+    unaligned, past the region's end, or ascending with random gaps like
+    a bulk load's at 30 % load), payloads or None, an offset and a mask
+    (0 skips the commit half). Batches of 21–300 cells span more lines
+    than the oracle's caches hold. Given the cache's ``line`` size, only
+    batches the per-line path takes: at least 4 ascending cells (fewer
+    only where the region ends), each touching at most a line inside
+    the region, with payloads of one non-zero size."""
     cell_size = data.draw(st.sampled_from([16, 24, 40]), label="cell_size")
-    count = data.draw(st.integers(0, 20), label="count")
+    smallest = 0 if line is None else 4
+    count = data.draw(st.integers(smallest, 20) | st.integers(21, 300), label="count")
     base = data.draw(st.integers(0, ORACLE_REGION // cell_size - 1), label="base")
-    cells = [(base + i) * cell_size for i in range(count)]
+    shapes = ["sorted", "sparse", "shuffled", "repeat", "unaligned", "outside"]
+    if line is not None:
+        shapes = shapes[:2]
+    shape = data.draw(st.sampled_from(shapes), label="shape")
+    if shape == "sparse":
+        slots = range(base, ORACLE_REGION // cell_size)
+        cells = [slot * cell_size for slot in slots if rng.random() < 0.3][:count]
+    else:
+        cells = [(base + i) * cell_size for i in range(count)]
     cells = [cell for cell in cells if cell + cell_size <= ORACLE_REGION]
-    shape = data.draw(
-        st.sampled_from(["sorted", "shuffled", "repeat", "unaligned", "outside"]),
-        label="shape",
-    )
     if shape == "shuffled":
         rng.shuffle(cells)
     elif shape == "repeat" and cells:
@@ -75,11 +87,34 @@ def _store_args(data, rng):
     mask = data.draw(st.sampled_from([0, 1, 1, 0x80, 0x100, 1 << 40]), label="mask")
     payloads = None
     if data.draw(st.booleans(), label="payloads") or not mask:
-        size = data.draw(st.sampled_from([cell_size - 8, 8, 1, 0]), label="size")
+        sizes = [cell_size - 8, 8, 1, 0]
+        if line is not None:
+            sizes = [size for size in sizes[:3] if offset + size <= line]
+        size = data.draw(st.sampled_from(sizes), label="size")
+        if line is not None:
+            cells = [cell for cell in cells if cell + offset + size <= ORACLE_REGION]
         payloads = [rng.randbytes(size) for _ in cells]
-        if payloads and data.draw(st.booleans(), label="mixed"):
+        if line is None and payloads and data.draw(st.booleans(), label="mixed"):
             payloads[-1] = payloads[-1] + b"\x01"
     return cells, payloads, offset, mask
+
+
+@contextlib.contextmanager
+def _loop_calls():
+    """The classes of the regions that run ``_store_cells_loop`` inside
+    the block, in call order."""
+    calls = []
+    loop = memory._store_cells_loop
+
+    def spy(region, *args):
+        calls.append(type(region))
+        loop(region, *args)
+
+    memory._store_cells_loop = spy
+    try:
+        yield calls
+    finally:
+        memory._store_cells_loop = loop
 
 
 def _run(region, method, *args):
@@ -99,6 +134,68 @@ def _run(region, method, *args):
     return outcome, wear_log
 
 
+def _per_line_pair(data):
+    """A fused region and its loop-running twin that take the per-line
+    store path: integer costs, at least 2 sets, no wear tracking."""
+    line = data.draw(st.sampled_from([32, 64, 128]), label="line")
+    ways = data.draw(st.sampled_from([1, 2, 4]), label="ways")
+    sets = data.draw(st.sampled_from([2, 8]), label="sets")
+    config = SimConfig(
+        cache=CacheConfig(
+            size_bytes=line * ways * sets, line_size=line, associativity=ways
+        ),
+        flush_invalidates=data.draw(st.booleans(), label="flush_invalidates"),
+    )
+    return NVMRegion(ORACLE_REGION, config), _Ref(ORACLE_REGION, config)
+
+
+def _store_rounds(data, regions, per_line):
+    """One to three rounds of churn, a store batch (with a dirty line
+    ahead of it or a primed first line, as drawn) and a flush of its
+    lines, each leaving the fused region in its twin's state; with
+    ``per_line``, batches the per-line path takes, checked to take it."""
+    fused, ref = regions
+    line = fused.line_size
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    for _ in range(data.draw(st.integers(1, 3), label="rounds")):
+        _churn(rng, regions)
+        cells, payloads, offset, mask = _store_args(
+            data, rng, line if per_line else None
+        )
+        ahead = [cell for cell in cells[-3:] if cell < ORACLE_REGION]
+        if ahead and data.draw(st.booleans(), label="dirty_ahead"):
+            # a dirty resident line at the end of the batch's span, which
+            # the batch's first lines may evict before the batch reaches
+            # it (and, that late, not again)
+            _both(regions, "write", rng.choice(ahead), b"\x5a")
+        prime = data.draw(st.sampled_from([None, 0, offset, "flushed"]), label="prime")
+        if prime == "flushed" and cells and cells[0] >= line:
+            # the line before the batch's was entered last, then flushed:
+            # no line is MRU, yet the batch's first fill is prefetched
+            _both(regions, "read", cells[0] - line, 1)
+            _both(regions, "clflush", cells[0] - line)
+        elif prime in (0, offset) and cells and 0 <= cells[0] + prime < ORACLE_REGION:
+            # the batch starts on a clean MRU line: its first touch must
+            # still mark the line dirty
+            _both(regions, "read", cells[0] + prime, 1)
+        with _loop_calls() as looped:
+            assert _run(fused, "store_cells", cells, payloads, offset, mask) == _run(
+                ref, "store_cells", cells, payloads, offset, mask
+            )
+        if per_line and len(cells) >= memory._MIN_BATCH:
+            assert looped == [_Ref]
+        assert _oracle_state(fused) == _oracle_state(ref)
+        n_lines = ORACLE_REGION // line
+        lines = sorted({min(cell // line, n_lines - 1) for cell in cells})
+        if data.draw(st.booleans(), label="shuffle_lines"):
+            rng.shuffle(lines)
+            lines += lines[:2]
+        if data.draw(st.integers(0, 9), label="bad_line") == 0:
+            lines.append(n_lines)
+        assert _run(fused, "flush_lines", lines) == _run(ref, "flush_lines", lines)
+        assert _oracle_state(fused) == _oracle_state(ref)
+
+
 @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_fused_stores_match_per_call_loop(data):
@@ -108,29 +205,16 @@ def test_fused_stores_match_per_call_loop(data):
     and fast-line markers, both images and wear — on tiny caches that
     evict dirty lines, both flush semantics, either half alone, empty
     and odd batches (which raise where the loop raises)."""
-    fused, ref = regions = _oracle_pair(data)
-    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    for _ in range(data.draw(st.integers(1, 3), label="rounds")):
-        _churn(rng, regions)
-        cells, payloads, offset, mask = _store_args(data, rng)
-        prime = data.draw(st.sampled_from([None, 0, offset]), label="prime")
-        if prime is not None and cells and 0 <= cells[0] + prime < ORACLE_REGION:
-            # the batch starts on a clean MRU line: its first touch must
-            # still mark the line dirty
-            _both(regions, "read", cells[0] + prime, 1)
-        assert _run(fused, "store_cells", cells, payloads, offset, mask) == _run(
-            ref, "store_cells", cells, payloads, offset, mask
-        )
-        assert _oracle_state(fused) == _oracle_state(ref)
-        n_lines = ORACLE_REGION // fused.line_size
-        lines = sorted({min(cell // fused.line_size, n_lines - 1) for cell in cells})
-        if data.draw(st.booleans(), label="shuffle_lines"):
-            rng.shuffle(lines)
-            lines += lines[:2]
-        if data.draw(st.integers(0, 9), label="bad_line") == 0:
-            lines.append(n_lines)
-        assert _run(fused, "flush_lines", lines) == _run(ref, "flush_lines", lines)
-        assert _oracle_state(fused) == _oracle_state(ref)
+    _store_rounds(data, _oracle_pair(data), per_line=False)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_per_line_stores_match_per_call_loop(data):
+    """The same oracle on regions and batches the per-line store path
+    takes (integer costs, 2 or 8 sets, ascending batches of cells that
+    each touch at most a line), checked to take them."""
+    _store_rounds(data, _per_line_pair(data), per_line=True)
 
 
 def test_fused_stores_match_loop_on_straddling_cells():
@@ -153,6 +237,56 @@ def test_fused_stores_match_loop_on_straddling_cells():
     assert _oracle_state(fused) == _oracle_state(ref)
     assert fused.stats.evictions > 0 and fused.stats.dirty_flushes > 0
     assert fused.peek_persistent(16 + 8, 16) == payloads[0]
+
+
+def _per_line_case(case):
+    """Two regions on a 2-set, 2-way cache of 64-byte lines with integer
+    costs, prepared for ``case``, the ascending batch to store (24-byte
+    cells up to line 20, or one cell per line) and its payloads."""
+    config = SimConfig(cache=CacheConfig(size_bytes=256, line_size=64, associativity=2))
+    regions = NVMRegion(ORACLE_REGION, config), _Ref(ORACLE_REGION, config)
+    cells = [24 * i for i in range(56)]
+    if case == "dirty_ahead":
+        # line 20 is dirty and resident; line 2 evicts it long before the
+        # batch stores into it
+        _both(regions, "write", 1284, b"\x5a")
+    elif case == "flushed_fast":
+        # line 9 was entered last and then flushed, so no line is MRU;
+        # the batch's first fill (line 10) still follows line 9
+        cells = [cell for cell in cells if cell >= 640]
+        _both(regions, "read", 600, 1)
+        _both(regions, "clflush", 600)
+    else:
+        # the batch's first line is the clean MRU line, and no later
+        # touch enters it again (one cell per line)
+        cells = [64 * i for i in range(21)]
+        _both(regions, "read", 0, 1)
+    payloads = [bytes([i + 1]) * 16 for i in range(len(cells))]
+    return regions, cells, payloads
+
+
+@pytest.mark.parametrize("case", ["dirty_ahead", "flushed_fast", "clean_mru"])
+def test_per_line_store_edge_cases(case):
+    """An ascending batch goes once per line and leaves the loop's state
+    where the per-line path is easiest to get wrong: a dirty line ahead of
+    the batch is written back before the stores (its persistent bytes
+    are the old ones), the first fill after a flushed line is prefetched,
+    and a first touch on the clean MRU line marks it dirty."""
+    (fused, ref), cells, payloads = _per_line_case(case)
+    before = fused.stats.prefetched_fills
+    with _loop_calls() as looped:
+        for region in (fused, ref):
+            region.store_cells(cells, payloads, 8, 1)
+    assert looped == [_Ref]
+    assert _oracle_state(fused) == _oracle_state(ref)
+    if case == "dirty_ahead":
+        assert fused.peek_persistent(1284, 1) == b"\x5a"
+        assert fused.peek_volatile(1284, 1) != b"\x5a"
+    elif case == "flushed_fast":
+        assert fused.stats.prefetched_fills > before
+    else:
+        # evicted dirty, so written back with the batch's stores
+        assert fused.peek_persistent(0, 64) == fused.peek_volatile(0, 64) != bytes(64)
 
 
 def test_empty_batch_and_no_op_halves():

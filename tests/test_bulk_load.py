@@ -1,10 +1,21 @@
 """Tests for the bulk-loading fast path."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tests.conftest import random_items, small_region
+from tests.test_batch_primitives import _loop_calls
+from tests.test_scan_primitives import _oracle_state, _Ref
 
-from repro import GroupHashTable, RawBackend, bulk_load
+from repro import (
+    CacheConfig,
+    GroupHashTable,
+    NVMRegion,
+    RawBackend,
+    SimConfig,
+    bulk_load,
+)
 
 
 def build(n_cells=512, group_size=32, n_hash_functions=1, region=None):
@@ -174,3 +185,62 @@ def test_bulk_load_accepts_a_generator():
     assert bulk_load(from_generator, (item for item in items)) == []
     assert r1.stats.as_dict() == r2.stats.as_dict()
     assert dict(from_generator.items()) == dict(items)
+
+
+@pytest.mark.parametrize("backend", ["sim", "raw"])
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_bulk_load_matches_inserts(backend, data):
+    """On a table pre-filled to 0–60 % by inserts, with 1–3 hash
+    functions and groups of 4–64 cells, a bulk load of a batch (up to
+    twice the table, so it may overflow) leaves the cell bytes, the count
+    and the rejected items, in order, that inserting the batch item by
+    item does."""
+    n_hash_functions = data.draw(st.integers(1, 3), label="n_hash_functions")
+    group_size = data.draw(st.sampled_from([4, 8, 16, 32, 64]), label="group_size")
+    n_cells = 2 * group_size * data.draw(st.integers(1, 4), label="groups")
+    n_prefill = int(n_cells * data.draw(st.floats(0, 0.6), label="load"))
+    n_batch = data.draw(st.integers(0, 2 * n_cells), label="batch")
+    items = random_items(n_prefill + n_batch, seed=data.draw(st.integers(0, 2**16)))
+    prefill, batch = items[:n_prefill], items[n_prefill:]
+    tables = []
+    for _ in range(2):
+        region = small_region(64 << 10) if backend == "sim" else RawBackend(64 << 10)
+        _, table = build(n_cells, group_size, n_hash_functions, region)
+        for key, value in prefill:
+            table.insert(key, value)
+        tables.append(table)
+    incremental, bulk = tables
+    inserted = [incremental.insert(key, value) for key, value in batch]
+    assert bulk_load(bulk, batch) == [
+        item for item, ok in zip(batch, inserted) if not ok
+    ]
+    assert bulk.count == incremental.count
+    size = n_cells // 2 * bulk.codec.cell_size
+    for level in ("tab1_base", "tab2_base"):
+        base = getattr(bulk.layout, level)
+        want = incremental.region.peek_volatile(base, size)
+        assert bulk.region.peek_volatile(base, size) == want
+
+
+def test_bulk_load_leaves_the_per_cell_loops_state():
+    """A bulk load whose store spans twelve times the cache goes once per
+    line on NVMRegion and leaves exactly the state the per-cell loops
+    leave on the loop-running twin: every counter, each cache set's LRU
+    order and dirty flags, the prefetcher and fast-line markers and both
+    images."""
+    config = SimConfig(cache=CacheConfig(size_bytes=4096, associativity=4))
+    items = random_items(820, seed=14)
+    prefill, batch = items[:200], items[200:]
+    states = []
+    for make in (NVMRegion, _Ref):
+        region = make(64 << 10, config)
+        _, table = build(2048, 32, 2, region)
+        for key, value in prefill:
+            table.insert(key, value)
+        with _loop_calls() as looped:
+            assert bulk_load(table, batch) == []
+        assert looped == ([] if make is NVMRegion else [_Ref])
+        states.append(_oracle_state(region))
+    assert 2048 * 24 > 2 * 4096
+    assert states[0] == states[1]
