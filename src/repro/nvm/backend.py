@@ -483,29 +483,17 @@ class RawBackend(DualImage):
 
     def flush_lines(self, lines) -> None:
         """``clflush`` per line number of ``lines``, in order; natively,
-        one dirty-set test per line."""
+        the dirty ones written back as one set."""
         if len(lines) < _MIN_BATCH or self._slow or not _flush_batch(self, lines):
             for line in lines:
                 self.clflush(line * self._line)
             return
+        written = self._dirty.intersection(lines)
+        self._dirty -= written
+        self._writeback_lines(written)
         stats = self.stats
-        line_size = self._line
-        dirty = self._dirty
-        volatile = self._volatile
-        persistent = self._persistent
-        written = 0
-        for line in lines:
-            if line in dirty:
-                dirty.remove(line)
-                start = line * line_size
-                end = min(start + line_size, self.size)
-                persistent[start:end] = volatile[start:end]
-                written += 1
-                stats.nvm_bytes_written += end - start
         stats.flushes += len(lines)
-        stats.writebacks += written
-        stats.nvm_line_writes += written
-        stats.dirty_flushes += written
+        stats.dirty_flushes += len(written)
 
     # ------------------------------------------------------------------
     # persistence primitives

@@ -43,9 +43,6 @@ CACHELINE = 64
 #: failure-atomicity unit of NVM (paper Section 2.2)
 ATOMIC_UNIT = 8
 
-#: a float clock adds integer costs exactly while every sum stays below this
-_EXACT_NS = 1 << 53
-
 #: windows of fewer cells run the per-cell charge loop: below it the
 #: per-line path's set-up (a crossing lookup, a cache run) costs more
 #: than the loop it replaces
@@ -438,6 +435,28 @@ class DualImage(Scans, Observable):
         self.flush_range(addr, size)
         self.mfence()
 
+    def _writeback_lines(self, lines) -> None:
+        """Copy each of ``lines`` (distinct, any order) from the volatile
+        view to the persistent image and count the medium writes, one
+        slice copy per run of adjacent lines; a partial last line is
+        copied as far as the region goes. No wear is recorded."""
+        if not lines:
+            return
+        lines = sorted(lines)
+        line_size = self._line
+        written = 0
+        start = lines[0]
+        for prev, line in zip(lines, lines[1:] + [-1]):
+            if line != prev + 1:
+                lo, hi = start * line_size, min((prev + 1) * line_size, self.size)
+                self._persistent[lo:hi] = self._volatile[lo:hi]
+                written += hi - lo
+                start = line
+        stats = self.stats
+        stats.writebacks += len(lines)
+        stats.nvm_line_writes += len(lines)
+        stats.nvm_bytes_written += written
+
     # ------------------------------------------------------------------
     # crash/recovery support
 
@@ -522,7 +541,7 @@ class NVMRegion(DualImage):
         "wear",
         "_prev_line",
         "_fast_line",
-        "_run_ns",
+        "_per_line",
     )
 
     def __init__(
@@ -550,12 +569,12 @@ class NVMRegion(DualImage):
         # from _prev_line, which is prefetcher state and must NOT be
         # cleared on invalidation.
         self._fast_line = -1
-        # the most one touch of a read window can add to the clock when
-        # windows may charge their touches as summed integer costs, else
-        # None (see :meth:`_charge_window`)
-        self._run_ns = self._window_touch_bound()
         # scans decode in place on this class only (see Scans)
         self._in_place = self.__class__ is NVMRegion
+        # whether read windows and ascending store batches may be charged
+        # once per line: on this class only, and not with wear tracking,
+        # whose observers read the clock at each write-back
+        self._per_line = self._in_place and self.wear is None
 
     # ------------------------------------------------------------------
     # cache plumbing
@@ -705,51 +724,45 @@ class NVMRegion(DualImage):
     # wear leveling) and windows with a cell outside the region run the
     # loop itself, so error behaviour is the loop's.
 
-    def _window_touch_bound(self) -> float | None:
-        """The most one read touch can add to the clock (the dearest of
-        hit, prefetch and fill, plus an eviction writeback) when read
-        windows may be charged by :meth:`_charge_window`, else None: a
-        subclass, wear tracking (its observers read the clock at each
-        writeback), or any cost that is not a non-negative integer (a
-        fractional flush or fence cost leaves the clock fractional, and
-        integer adds to it round differently one at a time than
-        summed)."""
+    def _charge_lines(
+        self, touches: int, fills: int, prefetched: int, evictions: int, writebacks: int
+    ) -> None:
+        """Count a per-line charge: of ``touches`` touches, ``fills``
+        filled a line (``prefetched`` of them covered by the prefetcher,
+        the rest demand misses) and the others hit; the fills caused
+        ``evictions`` evictions, ``writebacks`` of them dirty. The clock
+        gets each cost times its count, which equals the per-touch adds
+        because integer adds commute."""
+        misses = fills - prefetched
+        hits = touches - fills
+        stats = self.stats
+        stats.cache_hits += hits
+        stats.cache_misses += misses
+        stats.prefetched_fills += prefetched
+        stats.nvm_line_reads += fills
+        stats.evictions += evictions
         latency = self._latency
-        touch = (latency.cache_hit_ns, latency.prefetch_hit_ns, latency.line_fill_ns)
-        costs = touch + (
-            latency.eviction_writeback_ns,
-            latency.flush_base_ns,
-            latency.nvm_write_extra_ns,
-            latency.fence_ns,
+        stats.sim_time_ns += (
+            hits * latency.cache_hit_ns
+            + prefetched * latency.prefetch_hit_ns
+            + misses * latency.line_fill_ns
+            + writebacks * latency.eviction_writeback_ns
         )
-        if (
-            self.__class__ is not NVMRegion
-            or self.wear is not None
-            or not all(cost >= 0 and float(cost).is_integer() for cost in costs)
-        ):
-            return None
-        return max(touch) + latency.eviction_writeback_ns
 
-    def _charge_window(self, cells: range, size: int) -> bool:
+    def _charge_window(self, cells: range, size: int) -> None:
         """Charge a strided read window with ``size <= step <= line`` once
-        per line, or return False (the caller's per-cell loop runs).
+        per line.
 
         Such a window touches every line from its first to its last, in
         non-decreasing order, so each line is entered once:
         :meth:`CacheSim.enter_run` runs them all (in O(sets × ways) once
         the run is at least twice the cache's capacity), and every fill
-        after the head line follows the line before it (prefetch-covered). The
-        remaining touches, repeats of the line entered last, are hits
+        after the head line follows the line before it (prefetch-covered).
+        The remaining touches, repeats of the line entered last, are hits
         whose number is arithmetic: one touch per cell plus one per line
-        boundary a cell crosses. The clock gets each cost times its count;
-        with non-negative integer costs (checked at construction) and the
-        clock bounded below 2**53 (checked here), those sums equal the
-        per-touch adds bit for bit."""
+        boundary a cell crosses. :meth:`_charge_lines` adds them up."""
         n = len(cells)
         stats = self.stats
-        sim = stats.sim_time_ns
-        if sim + 2 * n * self._run_ns >= _EXACT_NS:
-            return False
         line_size = self._line
         step = cells.step
         start = cells.start
@@ -768,26 +781,11 @@ class NVMRegion(DualImage):
                 misses = 1
             self._prev_line = last
         self._fast_line = last
-        prefetched = fills - misses
-        hits = touches - fills
         stats.reads += n
         stats.bytes_read += n * size
-        stats.cache_hits += hits
-        if fills:
-            stats.cache_misses += misses
-            stats.prefetched_fills += prefetched
-            stats.nvm_line_reads += fills
-            stats.evictions += evictions
         for victim in dirty:
             self._writeback(victim)
-        latency = self._latency
-        stats.sim_time_ns = sim + (
-            hits * latency.cache_hit_ns
-            + prefetched * latency.prefetch_hit_ns
-            + misses * latency.line_fill_ns
-            + len(dirty) * latency.eviction_writeback_ns
-        )
-        return True
+        self._charge_lines(touches, fills, fills - misses, evictions, len(dirty))
 
     def _charge_reads(self, cells, size: int) -> None:
         """Charge one ``read(a, size)`` (``size > 0``) per address ``a`` of
@@ -796,26 +794,22 @@ class NVMRegion(DualImage):
 
         A strided window of at least :data:`_MIN_WINDOW` cells that
         neither overlap nor skip a line is charged per line by
-        :meth:`_charge_window`, whose summed costs are bit-identical only
-        for non-negative integer costs and a clock below 2**53.
-        Everything else (gathers, short windows, other strides,
-        non-integer costs, wear tracking, subclasses) runs the loop
-        below: :meth:`CacheSim.access` once per line entered; a repeat
-        touch of the line charged last is a hit on a resident MRU line,
-        as in :meth:`_touch`. The loop adds to ``sim_time_ns`` once per
-        touch, in the order of the reads, so it is bit-identical to them
-        for any latency model; dirty victims are written back in the
-        same order, and ``_prev_line``/``_fast_line`` end as the reads
-        leave them. The counters live in locals written back once at the
-        end; the clock is also published before a dirty writeback, whose
-        wear observers may read it."""
+        :meth:`_charge_window`. Everything else (gathers, short windows,
+        other strides, wear tracking, subclasses) runs the loop below:
+        :meth:`CacheSim.access` once per line entered; a repeat touch of
+        the line charged last is a hit on a resident MRU line, as in
+        :meth:`_touch`. Dirty victims are written back in the reads'
+        order, and ``_prev_line``/``_fast_line`` end as the reads leave
+        them. The counters live in locals written back once at the end;
+        the clock is also published before a dirty writeback, whose wear
+        observers may read it."""
         if (
             type(cells) is range
-            and self._run_ns is not None
+            and self._per_line
             and len(cells) >= _MIN_WINDOW
             and size <= cells.step <= self._line
-            and self._charge_window(cells, size)
         ):
+            self._charge_window(cells, size)
             return
         stats = self.stats
         access = self.cache.access
@@ -893,11 +887,12 @@ class NVMRegion(DualImage):
 
         The contract is the event sequence of that loop. A batch of at
         least :data:`_MIN_BATCH` strictly ascending cells, each touching
-        at most ``line_size`` bytes, on a cache of at least 2 sets, with
-        the integer costs :meth:`_charge_window` needs, is charged once
-        per line by :meth:`_store_lines`; every other batch runs
+        at most ``line_size`` bytes, on a cache of at least 2 sets and
+        without wear tracking, is charged once per line by
+        :meth:`_store_lines`; every other batch (and every batch of a
+        subclass, an armed crash or an observed region) runs
         :func:`_store_cells_loop`."""
-        if len(cells) >= _MIN_BATCH and self._run_ns is not None and not self._slow:
+        if len(cells) >= _MIN_BATCH and self._per_line and not self._slow:
             size = _store_batch(self, cells, payloads, offset, mask)
             if size is not None and self._store_lines(
                 cells, payloads, offset, mask, size
@@ -912,7 +907,7 @@ class NVMRegion(DualImage):
         The batch's touches with repeats of the line touched just before
         (MRU hits) dropped enter the cache as writes in one
         :meth:`CacheSim._enter_lines` call; the other touches are hits,
-        and the clock gets each cost times its count, as in
+        counted with the fills by :meth:`_charge_lines`, as in
         :meth:`_charge_window`. The stores land as slices between the
         two halves of the dirty victims: one above the line that
         evicted it has not been reached by the batch yet, one below has
@@ -946,10 +941,6 @@ class NVMRegion(DualImage):
         if mask:
             columns.append([cell // line_size for cell in cells])
             touches += 2 * n
-        stats = self.stats
-        sim = stats.sim_time_ns
-        if sim + touches * self._run_ns >= _EXACT_NS:
-            return False
         sequence = [0] * (len(columns) * n)
         for i, column in enumerate(columns):
             sequence[i :: len(columns)] = column
@@ -972,41 +963,8 @@ class NVMRegion(DualImage):
         self._writeback_lines([v for line, v in victims if v > line])
         _apply_stores(self, cells, payloads, offset, size, mask)
         self._writeback_lines([v for line, v in victims if v < line])
-        misses = fills - prefetched
-        hits = touches - fills
-        stats.cache_hits += hits
-        stats.cache_misses += misses
-        stats.prefetched_fills += prefetched
-        stats.nvm_line_reads += fills
-        stats.evictions += evictions
-        latency = self._latency
-        stats.sim_time_ns = sim + (
-            hits * latency.cache_hit_ns
-            + prefetched * latency.prefetch_hit_ns
-            + misses * latency.line_fill_ns
-            + len(victims) * latency.eviction_writeback_ns
-        )
+        self._charge_lines(touches, fills, prefetched, evictions, len(victims))
         return True
-
-    def _writeback_lines(self, lines: list[int]) -> None:
-        """:meth:`_writeback` of each of ``lines`` (distinct, any order,
-        with no wear tracking), one slice copy per run of adjacent lines."""
-        if not lines:
-            return
-        lines.sort()
-        line_size = self._line
-        written = 0
-        start = lines[0]
-        for prev, line in zip(lines, lines[1:] + [-1]):
-            if line != prev + 1:
-                lo, hi = start * line_size, min((prev + 1) * line_size, self.size)
-                self._persistent[lo:hi] = self._volatile[lo:hi]
-                written += hi - lo
-                start = line
-        stats = self.stats
-        stats.writebacks += len(lines)
-        stats.nvm_line_writes += len(lines)
-        stats.nvm_bytes_written += written
 
     def flush_lines(self, lines) -> None:
         """``clflush(line * line_size)`` per line number of ``lines``, in

@@ -66,8 +66,8 @@ class MemStats:
     #: line fills read from the persistent medium
     nvm_line_reads: int = 0
 
-    #: simulated elapsed time in nanoseconds
-    sim_time_ns: float = 0.0
+    #: simulated elapsed time in whole nanoseconds
+    sim_time_ns: int = 0
 
     def snapshot(self) -> "MemStats":
         """Return an independent copy of the current counters."""
@@ -119,17 +119,17 @@ class MemStats:
     def reset(self) -> None:
         """Zero every counter in place."""
         for field in dataclasses.fields(MemStats):
-            setattr(self, field.name, 0.0 if field.name == "sim_time_ns" else 0)
+            setattr(self, field.name, 0)
 
-    def as_dict(self) -> dict[str, int | float]:
+    def as_dict(self) -> dict[str, int]:
         """Return counters as a plain dict (for reports and JSON dumps).
 
-        Every event counter is an exact ``int``; only ``sim_time_ns`` is
-        a float. :meth:`from_dict` round-trips the exact values."""
+        Every counter, the simulated clock included, is an exact
+        ``int``; :meth:`from_dict` round-trips them."""
         return dataclasses.asdict(self)
 
     @classmethod
-    def from_dict(cls, payload: "dict[str, int | float]") -> "MemStats":
+    def from_dict(cls, payload: "dict[str, int]") -> "MemStats":
         """Rebuild a counter set from :meth:`as_dict` output (unknown
         keys are ignored, missing ones default to zero)."""
         names = {f.name for f in dataclasses.fields(cls)}

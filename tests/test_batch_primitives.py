@@ -28,12 +28,21 @@ from tests.test_scan_primitives import (
     _oracle_state,
     _raw_state,
     _Ref,
+    _window_log,
 )
 
-from repro import CacheConfig, NVMRegion, RawBackend, SimConfig, SimulatedPowerFailure
+from repro import (
+    CacheConfig,
+    NVMRegion,
+    RawBackend,
+    SimConfig,
+    SimulatedPowerFailure,
+    random_schedule,
+)
 from repro.hashes import HashFamily, functions
 from repro.hashes.functions import _NP_MIN_HASH
 from repro.nvm import memory
+from repro.nvm.latency import PAPER_NVM
 from repro.nvm.wearlevel import WearLevelledRegion
 
 
@@ -136,11 +145,12 @@ def _run(region, method, *args):
 
 def _per_line_pair(data):
     """A fused region and its loop-running twin that take the per-line
-    store path: integer costs, at least 2 sets, no wear tracking."""
+    store path: at least 2 sets, no wear tracking."""
     line = data.draw(st.sampled_from([32, 64, 128]), label="line")
     ways = data.draw(st.sampled_from([1, 2, 4]), label="ways")
     sets = data.draw(st.sampled_from([2, 8]), label="sets")
     config = SimConfig(
+        latency=data.draw(st.sampled_from([PAPER_NVM, ODD_LATENCY]), label="costs"),
         cache=CacheConfig(
             size_bytes=line * ways * sets, line_size=line, associativity=ways
         ),
@@ -200,8 +210,8 @@ def _store_rounds(data, regions, per_line):
 @given(data=st.data())
 def test_fused_stores_match_per_call_loop(data):
     """``store_cells`` then ``flush_lines`` leave exactly the state their
-    loops leave — every counter (``sim_time_ns`` under non-integer
-    costs), each cache set's LRU order and dirty flags, the prefetcher
+    loops leave — every counter (``sim_time_ns`` under distinct costs
+    too), each cache set's LRU order and dirty flags, the prefetcher
     and fast-line markers, both images and wear — on tiny caches that
     evict dirty lines, both flush semantics, either half alone, empty
     and odd batches (which raise where the loop raises)."""
@@ -212,8 +222,8 @@ def test_fused_stores_match_per_call_loop(data):
 @given(data=st.data())
 def test_per_line_stores_match_per_call_loop(data):
     """The same oracle on regions and batches the per-line store path
-    takes (integer costs, 2 or 8 sets, ascending batches of cells that
-    each touch at most a line), checked to take them."""
+    takes (2 or 8 sets, no wear tracking, ascending batches of cells
+    that each touch at most a line), checked to take them."""
     _store_rounds(data, _per_line_pair(data), per_line=True)
 
 
@@ -394,24 +404,99 @@ def test_raw_backend_native_stores_match_loop(mask):
     """RawBackend's native path leaves the loop's dirty-line set,
     counters and images after every step: sparse cells whose payloads
     straddle lines, a full flush, a bitmap-only pass on clean lines (a
-    multi-byte mask too), a partial flush and a payload-only pass."""
-    steps = [
-        ("store", CELLS[1::4], PAYLOADS[1::4], 8, mask),
-        ("flush", LINES),
-        ("store", CELLS[::3], None, 0, mask << 1),
-        ("flush", LINES[::2]),
-        ("store", CELLS[1::2], PAYLOADS[1::2], 8, 0),
-    ]
-    native, looped = RawBackend(ORACLE_REGION), RawBackend(ORACLE_REGION)
-    for kind, *args in steps:
-        if kind == "store":
-            native.store_cells(*args)
-            _loop_store(looped, *args)
-        else:
-            native.flush_lines(*args)
-            _loop_flush(looped, *args)
-        assert _raw_state(native) == _raw_state(looped)
-    assert native._dirty
+    multi-byte mask too), a partial flush, a payload-only pass, stores
+    into the region's last line and a flush naming lines more than once.
+    Both on a region of whole lines and on one whose last line is
+    partial."""
+    for size in (ORACLE_REGION, ORACLE_REGION - 24):
+        tail = [size - 24 * k for k in (4, 3, 2, 1)]
+        last = (size - 1) // 64
+        steps = [
+            ("store", CELLS[1::4], PAYLOADS[1::4], 8, mask),
+            ("flush", LINES),
+            ("store", CELLS[::3], None, 0, mask << 1),
+            ("flush", LINES[::2]),
+            ("store", CELLS[1::2], PAYLOADS[1::2], 8, 0),
+            ("store", tail, PAYLOADS[:4], 8, mask),
+            ("flush", [last, last - 1, last, *LINES[:3], last - 1, LINES[0]]),
+        ]
+        native, looped = RawBackend(size), RawBackend(size)
+        for kind, *args in steps:
+            if kind == "store":
+                native.store_cells(*args)
+                _loop_store(looped, *args)
+            else:
+                native.flush_lines(*args)
+                _loop_flush(looped, *args)
+            assert _raw_state(native) == _raw_state(looped)
+        assert native._dirty
+        assert native.peek_persistent(size - 16, 16) == PAYLOADS[3]
+
+
+def test_simulated_clock_stays_an_int():
+    """``sim_time_ns`` is an ``int`` after every path that charges it —
+    scalar accesses, flushes, fences, each scan per line and as its loop,
+    ``store_cells`` per line and as its loop, ``flush_lines``, a crash —
+    and after ``reset``, ``delta`` and ``merged``: a float literal in any
+    of them would bring the float clock back unnoticed."""
+    config = SimConfig(
+        latency=ODD_LATENCY,
+        cache=CacheConfig(size_bytes=512, line_size=64, associativity=2),
+    )
+    key = b"\xee" * 8
+    window = (CELLS[0], 24, len(CELLS))  # every cell occupied: full scans
+    scans = {
+        "scan_clear_u64": window,
+        "scan_match": (*window, key),
+        "scan_occupied_bitmap": window,
+        "scan_match_many": (*window, [key, key]),
+        "scan_probe": (*window, key),
+        "scan_torn": (*window, 24),
+        "scan_occupied_at": (CELLS,),
+        "scan_clear_at": (CELLS,),
+        "scan_ne_at": (CELLS, 0),
+        "scan_match_at": (CELLS, key),
+        "scan_match_pairs": ([(cell, key) for cell in CELLS],),
+    }
+
+    def check(region, what):
+        assert type(region.stats.sim_time_ns) is int, what
+
+    for make in (NVMRegion, _Ref):
+        region = make(ORACLE_REGION, config)
+        check(region, "new")
+        region.write(8, b"x")
+        region.read(8, 1)
+        region.write_u64(16, 1)
+        region.read_u64(16)
+        check(region, "read/write")
+        region.clflush(8)
+        region.mfence()
+        region.persist(0, 200)
+        check(region, "clflush/mfence/persist")
+        with _loop_calls() as looped:
+            region.store_cells(CELLS, PAYLOADS, 8, 1)
+        assert looped == ([] if make is NVMRegion else [_Ref])
+        check(region, "store_cells")
+        with _window_log() as windows:
+            for name, args in scans.items():
+                getattr(region, name)(*args)
+                check(region, name)
+        assert bool(windows) == (make is NVMRegion)
+        region.write(CELLS[-1] + 8, b"z")  # one dirty line among the flushed
+        dirty_flushes = region.stats.dirty_flushes
+        region.flush_lines(LINES)
+        assert region.stats.dirty_flushes > dirty_flushes
+        check(region, "flush_lines")
+        region.write(8, b"y")
+        region.crash(random_schedule(seed=1))
+        check(region, "crash")
+        before = region.stats.snapshot()
+        region.read(ORACLE_REGION - 8, 8)
+        assert type(region.stats.delta(before).sim_time_ns) is int
+        assert type(region.stats.merged(before).sim_time_ns) is int
+        region.stats.reset()
+        check(region, "reset")
 
 
 # ----------------------------------------------------------------------

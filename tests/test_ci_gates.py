@@ -285,6 +285,44 @@ def test_perf_gate_real_baselines_self_compare():
         assert ci_perf_gate.main([str(path), "--baseline", str(path)]) == 0
 
 
+def _as_ints(node):
+    """``node`` with every whole float outside a ``spec`` (a simulated
+    value such as a p99 of ``605.0``) as the ``int`` an integer
+    simulated clock reports instead."""
+    if isinstance(node, dict):
+        return {k: v if k == "spec" else _as_ints(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_as_ints(v) for v in node]
+    if isinstance(node, float) and node.is_integer():
+        return int(node)
+    return node
+
+
+@pytest.mark.parametrize("name", BASELINES)
+def test_perf_gate_float_baselines_pass_int_reports(tmp_path, name):
+    """The committed baselines stay valid without being rewritten: a
+    report carrying their whole-float values as ints passes."""
+    base = json.loads((ROOT / name).read_text())
+    assert _run(tmp_path, _as_ints(base), base) == 0
+
+
+def test_perf_gate_int_report_off_by_one_on_an_exact_metric_fails(tmp_path, capsys):
+    """Int against float compares by value: crashmatrix ``points`` of
+    the same value passes, one more fails."""
+    base = json.loads((ROOT / "bench_crashmatrix.json").read_text())
+    cell = base["crashmatrix"]["cells"][0]
+    cell["points"] = float(cell["points"])
+    fresh = _as_ints(base)
+    assert _run(tmp_path, fresh, base) == 0
+    capsys.readouterr()
+    fresh["crashmatrix"]["cells"][0]["points"] += 1
+    assert _run(tmp_path, fresh, base) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+    assert len(failed) == 1
+    want = f"points: {int(cell['points']) + 1} vs baseline {cell['points']} [exact]"
+    assert failed[0].endswith(want)
+
+
 # ----------------------------------------------------------------------
 # invariants: checked on every fresh cell, no baseline needed
 

@@ -74,7 +74,7 @@ def test_flush_clean_line_costs_base_only():
     r.read(0, 8)  # line resident, clean
     t0 = r.stats.sim_time_ns
     r.clflush(0)
-    assert r.stats.sim_time_ns - t0 == pytest.approx(PAPER_NVM.flush_base_ns)
+    assert r.stats.sim_time_ns - t0 == PAPER_NVM.flush_base_ns
 
 
 def test_flush_dirty_line_costs_write_penalty():
@@ -82,8 +82,9 @@ def test_flush_dirty_line_costs_write_penalty():
     r.write(0, b"x")
     t0 = r.stats.sim_time_ns
     r.clflush(0)
-    assert r.stats.sim_time_ns - t0 == pytest.approx(
-        PAPER_NVM.flush_base_ns + PAPER_NVM.nvm_write_extra_ns
+    assert (
+        r.stats.sim_time_ns - t0
+        == PAPER_NVM.flush_base_ns + PAPER_NVM.nvm_write_extra_ns
     )
 
 
@@ -126,7 +127,7 @@ def test_mfence_counts_and_charges():
     t0 = r.stats.sim_time_ns
     r.mfence()
     assert r.stats.fences == fences + 1
-    assert r.stats.sim_time_ns - t0 == pytest.approx(PAPER_NVM.fence_ns)
+    assert r.stats.sim_time_ns - t0 == PAPER_NVM.fence_ns
 
 
 def test_unpersisted_ranges_tracks_dirty_data():
